@@ -794,9 +794,9 @@ pub fn run_sharded_case(fault: FaultClass, seed: u64) -> CaseResult {
 const SLO_SOCIAL_SF: u32 = 10;
 
 /// Offered rate for the social case: 1.2× the SF=10 knee measured by
-/// `xtra_slo_scale` (250 krps) — past saturation by design, so the
+/// `xtra_slo_scale` (1300 krps) — past saturation by design, so the
 /// admission plane sheds under every fault class.
-const SLO_SOCIAL_RATE: f64 = 300e3;
+const SLO_SOCIAL_RATE: f64 = 1.2 * 1300e3;
 
 /// DeathStarBench social workload over a scaled population, offered 1.2×
 /// its measured knee with the full overload-control plane ON (front-door

@@ -10,9 +10,8 @@
 //! within budget).
 //!
 //! Phase 2 then offers 2× and 8× each knee with the overload-control
-//! plane OFF (historical behaviour: the compose fan-out re-enters the
-//! service tier's CPU queue ~100 times per request, so queue waits
-//! amplify ~100× and SLO goodput collapses under deep overload) and ON
+//! plane OFF (historical behaviour: the front-door NIC saturates, every
+//! request queues behind it and SLO goodput collapses) and ON
 //! (front-door admission + CoDel shedding at nginx, bounded DM-server
 //! admission, client token limiting): shed requests fail fast with a
 //! typed `Busy`, the admitted remainder stays near knee latency, and SLO
@@ -41,12 +40,16 @@ use crate::report::{f2, render_bars, Table};
 /// Scale factors swept: 1k → 1M users.
 pub const SCALE_FACTORS: [u32; 4] = [1, 10, 100, 1000];
 
-/// Offered-rate ladder (requests/second) for the knee search.
-pub const RATES: [f64; 6] = [50e3, 100e3, 150e3, 200e3, 250e3, 300e3];
+/// Offered-rate ladder (requests/second) for the knee search: coarse up
+/// to 1 Mrps, then 100 krps rungs through the knees (1.3–1.6 Mrps), and a
+/// top rung every scale factor misses.
+pub const RATES: [f64; 16] = [
+    50e3, 100e3, 200e3, 400e3, 600e3, 800e3, 1000e3, 1100e3, 1200e3, 1300e3, 1400e3, 1500e3,
+    1600e3, 1700e3, 1800e3, 2000e3,
+];
 
-/// The p99 latency budget. Reads sit near ~15µs at low load; composes
-/// fan out to ~100 followers and dominate the tail, so the budget is set
-/// a comfortable margin above the no-load compose latency.
+/// The p99 latency budget, a wide margin above the ~20 µs no-load p99
+/// of the mix.
 pub const SLO_BUDGET: Duration = Duration::from_micros(500);
 
 /// Population seed (decoupled from the sim seed so the workload is pinned
@@ -94,8 +97,8 @@ impl Overload {
 /// Front-door admission at nginx: bound the end-to-end inflight window
 /// and shed when sojourn stays above target for a full interval. The
 /// inflight cap is the binding mechanism — bounding end-to-end
-/// concurrency bounds every downstream CPU queue the compose fan-out
-/// re-enters; CoDel is the backstop for sustained sojourn inflation.
+/// concurrency bounds the queue at every downstream NIC and CPU; CoDel
+/// is the backstop for sustained sojourn inflation.
 /// (Also used by the chaos `slo-social` case, so the knob values live
 /// in exactly one place.)
 pub fn front_admission() -> AdmissionConfig {
@@ -412,8 +415,8 @@ pub fn run() {
 
     // ---- phase 2: past the knee, overload control OFF vs ON ---------------
     // 2x knee is the acceptance point (graceful degradation); 8x knee is
-    // deep overload, where the uncontrolled system's compose fan-out
-    // multiplies per-pass CPU-queue waits ~100x and SLO goodput collapses.
+    // deep overload, where the uncontrolled system queues without bound
+    // at its saturated NIC and SLO goodput collapses.
     let cells2: Vec<(u32, f64, Overload)> = knees
         .iter()
         .flat_map(|&(sf, knee, _)| {

@@ -215,6 +215,10 @@ pub type Handler = Rc<dyn Fn(CallCtx) -> HandlerFuture>;
 struct Pending {
     reassembly: Option<Reassembly>,
     done: Option<oneshot::Sender<Result<Bytes, RpcError>>>,
+    /// Never sent on: dropping it with the entry wakes the call's
+    /// retransmission watchdog, which then ends instead of sleeping out
+    /// its RTO while holding the request packets.
+    _watchdog: oneshot::Sender<()>,
 }
 
 /// Recently-completed request keys: a set for O(1) dedup plus FIFO order
@@ -492,11 +496,13 @@ impl Rpc {
             mem.account(payload.len() as u64); // tx DMA
         }
         let (done_tx, done_rx) = oneshot::channel();
+        let (watchdog_tx, mut ended) = oneshot::channel::<()>();
         self.pending.borrow_mut().insert(
             req_num,
             Pending {
                 reassembly: None,
                 done: Some(done_tx),
+                _watchdog: watchdog_tx,
             },
         );
         for p in pkts.iter() {
@@ -505,7 +511,9 @@ impl Rpc {
 
         // Client-driven retransmission watchdog: exponential backoff with
         // optional jitter, bounded by both a retry count and (optionally) a
-        // total retry-time budget.
+        // total retry-time budget. Each wait races the RTO against the end
+        // of the call (its `Pending` entry dropped), so the task and the
+        // packets it holds live exactly as long as the call.
         let rpc = self.clone();
         let watch_pkts = pkts.clone();
         let watch_trace = trace;
@@ -519,8 +527,10 @@ impl Rpc {
                 Backoff::with_jitter(base, cap, rpc.config.retry_jitter, rpc.retry_rng.clone());
             let deadline = rpc.config.retry_budget.map(|b| simcore::now() + b);
             loop {
-                simcore::sleep(backoff.next_wait()).await;
-                if !rpc.pending.borrow().contains_key(&req_num) {
+                if simcore::timeout(backoff.next_wait(), &mut ended)
+                    .await
+                    .is_ok()
+                {
                     return; // completed
                 }
                 let budget_spent = deadline.is_some_and(|d| simcore::now() >= d);
@@ -723,7 +733,11 @@ impl Rpc {
         if complete {
             let mut p = pending.remove(&hdr.req_num).expect("present");
             let body = p.reassembly.take().expect("reassembly set").assemble();
-            if let Some(done) = p.done.take() {
+            let done = p.done.take();
+            // End the watchdog before waking the caller, so the call has no
+            // task left behind once it returns.
+            drop(p);
+            if let Some(done) = done {
                 let _ = done.send(Ok(body));
             }
         }
@@ -915,6 +929,86 @@ mod tests {
         assert_eq!(stats.calls_completed.get(), 200);
         assert!(stats.retransmits.get() > 0, "loss must cause retransmits");
         assert!(net.dropped_loss() > 0);
+    }
+
+    #[test]
+    fn watchdog_ends_with_its_call() {
+        let (sim, net, nodes) = setup(2);
+        let probe = sim.clone();
+        sim.block_on(async move {
+            let server = RpcBuilder::new(&net, nodes[1], 10).build();
+            server.register(1, |ctx| async move { ctx.payload });
+            let client = RpcBuilder::new(&net, nodes[0], 10).build();
+            let before = probe.live_tasks();
+            for len in [8, 20_000] {
+                client
+                    .call(server.addr(), 1, Bytes::from(vec![1u8; len]))
+                    .await
+                    .unwrap();
+                // Only the fabric task delivering the call's ACK is left;
+                // the watchdog (20 ms RTO) is already gone.
+                assert_eq!(probe.live_tasks(), before + 1, "{len}-byte call");
+                simcore::sleep(Duration::from_micros(5)).await;
+                assert_eq!(probe.live_tasks(), before, "{len}-byte call");
+            }
+            // A call that times out ends its watchdog too.
+            let client = RpcBuilder::new(&net, nodes[0], 11)
+                .config(RpcConfig {
+                    rto: Duration::from_micros(10),
+                    rto_per_packet: Duration::ZERO,
+                    max_retries: 1,
+                    ..Default::default()
+                })
+                .build();
+            let before = probe.live_tasks();
+            let dead = Addr {
+                node: nodes[1],
+                port: 99,
+            };
+            let r = client.call(dead, 1, Bytes::from_static(b"x")).await;
+            assert_eq!(r, Err(RpcError::Timeout { attempts: 2 }));
+            assert_eq!(probe.live_tasks(), before, "timed-out call");
+        });
+    }
+
+    #[test]
+    fn dropped_request_is_retransmitted_one_rto_later() {
+        let (sim, net, nodes) = setup(2);
+        let arrivals = sim.block_on(async move {
+            let arrivals = Rc::new(RefCell::new(Vec::new()));
+            let server = RpcBuilder::new(&net, nodes[1], 10).build();
+            let log = arrivals.clone();
+            server.register(1, move |ctx| {
+                log.borrow_mut().push(simcore::now().nanos());
+                async move { ctx.payload }
+            });
+            let client = RpcBuilder::new(&net, nodes[0], 10)
+                .config(RpcConfig {
+                    rto: Duration::from_micros(20),
+                    rto_per_packet: Duration::ZERO,
+                    ..Default::default()
+                })
+                .build();
+            // The first transmission is lost to a crashed server; it is
+            // back before the RTO expires.
+            server.set_offline(true);
+            let srv = server.clone();
+            simcore::spawn(async move {
+                simcore::sleep(Duration::from_micros(5)).await;
+                srv.set_offline(false);
+            });
+            let resp = client
+                .call(server.addr(), 1, Bytes::from(vec![9u8; 6000]))
+                .await
+                .unwrap();
+            assert_eq!(resp.len(), 6000);
+            assert_eq!(client.stats().retransmits.get(), 1);
+            let t = arrivals.borrow().clone();
+            t
+        });
+        // Pinned schedule: the retransmission leaves exactly one RTO after
+        // the first transmission.
+        assert_eq!(arrivals, vec![21_624]);
     }
 
     #[test]
