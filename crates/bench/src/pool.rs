@@ -1,14 +1,13 @@
 //! Shared scoped thread-pool: the one parallelism idiom for every bench
 //! harness.
 //!
-//! PR 3's chaos sweep introduced round-robin work assignment over
-//! `std::thread::scope` with results merged in index order, gated on
-//! byte-identical per-seed fingerprints. This module extracts that idiom
-//! so the chaos sweep, the per-figure cell parallelism (`SIM_THREADS`),
-//! and the engine-scaling runs all share one implementation: work item
+//! Round-robin work assignment over `std::thread::scope` with results
+//! merged in index order. The chaos seed sweep and the per-figure cell
+//! parallelism (`SIM_THREADS`) share this one implementation: work item
 //! `i` runs on thread `i mod threads`, and results come back in index
 //! order, so output (tables, CSVs, fingerprints) never depends on the
-//! thread count.
+//! thread count. Each cell is an independent serial simulation; nothing
+//! parallelizes inside one (DESIGN.md §11).
 
 /// Run `f(i)` for every `i in 0..n` across up to `threads` scoped OS
 /// threads and return the results in index order. Each worker owns its

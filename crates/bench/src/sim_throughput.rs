@@ -9,11 +9,8 @@
 
 use crate::report::{f2, Table};
 use bytes::Bytes;
-use simcore::par::{run_partitioned, ParConfig, ParOutcome, PartitionBuilder};
 use simcore::sync::mpsc;
 use simcore::Sim;
-use std::cell::Cell;
-use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 struct Outcome {
@@ -180,62 +177,9 @@ pub fn telemetry_overhead_gate() {
     );
 }
 
-/// Partitions in the scaling scenario (one single-node partition each).
-const PAR_PARTS: u32 = 8;
-/// RPC calls issued by each partition's client.
-const PAR_CALLS: u64 = 50;
-
-/// Partitioned full-stack scenario: [`PAR_PARTS`] single-node partitions
-/// in a ring; each node runs an rpclib echo server and a closed-loop
-/// client calling its successor with 4 KB payloads, all traffic crossing
-/// partition boundaries through the conservative window engine. Returns
-/// the outcome (whose fingerprint must be thread-count invariant) and
-/// the wall time.
-fn par_rpc_ring(threads: usize) -> (ParOutcome<u64>, Duration) {
-    fn topo() -> simnet::Network {
-        let net = simnet::Network::new(simnet::FabricConfig::default(), 7);
-        for i in 0..PAR_PARTS {
-            net.add_node(format!("n{i}"), simnet::NicConfig::default());
-        }
-        net
-    }
-    let lookahead = topo().xpart_lookahead();
-    let builders: Vec<PartitionBuilder<simnet::XDatagram, u64>> = (0..PAR_PARTS)
-        .map(|part| {
-            let b: PartitionBuilder<simnet::XDatagram, u64> = Box::new(move |ctx| {
-                let net = topo();
-                net.attach_to_partition(ctx, (0..PAR_PARTS).collect());
-                let rpc = rpclib::RpcBuilder::new(&net, simnet::NodeId(part), 10).build();
-                rpc.register(1, |c| async move { c.payload });
-                let next = simnet::Addr {
-                    node: simnet::NodeId((part + 1) % PAR_PARTS),
-                    port: 10,
-                };
-                let ok: Rc<Cell<u64>> = Rc::new(Cell::new(0));
-                let ok2 = ok.clone();
-                ctx.sim().spawn(async move {
-                    let payload = Bytes::from(vec![part as u8; 4096]);
-                    for _ in 0..PAR_CALLS {
-                        if rpc.call(next, 1, payload.clone()).await.is_ok() {
-                            ok2.set(ok2.get() + 1);
-                        }
-                    }
-                });
-                Box::new(move || ok.get())
-            });
-            b
-        })
-        .collect();
-    let start = Instant::now();
-    let out = run_partitioned(builders, ParConfig { lookahead, threads });
-    let wall = start.elapsed();
-    (out, wall)
-}
-
 /// One emitted measurement, also recorded in `BENCH_sim_throughput.json`.
 struct Row {
-    name: String,
-    threads: usize,
+    name: &'static str,
     polls: u64,
     wall: Duration,
 }
@@ -247,8 +191,8 @@ impl Row {
 }
 
 /// Write the trajectory artifact `results/BENCH_sim_throughput.json`:
-/// polls/sec and wall time per scenario plus the thread count that
-/// produced it, so future PRs can track the engine-performance curve.
+/// polls/sec and wall time per scenario, so later changes can track the
+/// engine-performance curve.
 /// Hand-rolled JSON with a fixed field order; wall-clock numbers are
 /// machine-dependent by nature, so `host_parallelism` is recorded
 /// alongside them.
@@ -264,10 +208,9 @@ fn write_bench_json(rows: &[Row]) {
     for (i, r) in rows.iter().enumerate() {
         let _ = write!(
             out,
-            "    {{\"name\": \"{}\", \"threads\": {}, \"polls\": {}, \
+            "    {{\"name\": \"{}\", \"polls\": {}, \
              \"wall_ms\": {:.3}, \"polls_per_sec\": {:.0}}}",
             r.name,
-            r.threads,
             r.polls,
             r.wall.as_secs_f64() * 1e3,
             r.polls_per_sec(),
@@ -283,64 +226,38 @@ fn write_bench_json(rows: &[Row]) {
     }
 }
 
-/// Run all scenarios — the serial engine stressors plus the partitioned
-/// scaling curve at 1/2/4/8 threads — and emit
-/// `results/xtra_sim_throughput.csv` + `results/BENCH_sim_throughput.json`.
-/// The partitioned scenario's fingerprint is asserted identical at every
-/// thread count, so this doubles as a determinism gate.
-pub fn run() {
-    type Scenario = (&'static str, fn(&Sim));
-    let scenarios: [Scenario; 4] = [
-        ("timer_storm", timer_storm),
-        ("pingpong", pingpong),
-        ("spawn_churn", spawn_churn),
-        ("rpc_storm", rpc_storm),
-    ];
-    let mut rows: Vec<Row> = Vec::new();
-    for (name, build) in scenarios {
-        let o = measure(build);
-        rows.push(Row {
-            name: name.to_string(),
-            threads: 1,
-            polls: o.polls,
-            wall: o.wall,
-        });
-    }
+type Scenario = (&'static str, fn(&Sim));
 
-    // Partitioned-engine scaling curve (warmup once, then one timed run
-    // per thread count). Byte-identical outcomes are asserted, not
-    // assumed.
-    par_rpc_ring(1);
-    let mut baseline_fp: Option<Vec<u64>> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let (out, wall) = par_rpc_ring(threads);
-        for p in &out.partitions {
-            assert_eq!(p.result, PAR_CALLS, "every ring call must complete");
-        }
-        let fp = out.fingerprint();
-        match &baseline_fp {
-            None => baseline_fp = Some(fp),
-            Some(f) => assert_eq!(
-                *f, fp,
-                "par_rpc_ring fingerprint diverged at {threads} threads"
-            ),
-        }
-        rows.push(Row {
-            name: "par_rpc_ring".to_string(),
-            threads,
-            polls: out.partitions.iter().map(|p| p.polls).sum(),
-            wall,
-        });
-    }
+/// The engine stressors, in report order.
+const SCENARIOS: [Scenario; 4] = [
+    ("timer_storm", timer_storm),
+    ("pingpong", pingpong),
+    ("spawn_churn", spawn_churn),
+    ("rpc_storm", rpc_storm),
+];
+
+/// Run every scenario (one warmup, one timed run each) and emit
+/// `results/xtra_sim_throughput.csv` + `results/BENCH_sim_throughput.json`.
+pub fn run() {
+    let rows: Vec<Row> = SCENARIOS
+        .iter()
+        .map(|&(name, build)| {
+            let o = measure(build);
+            Row {
+                name,
+                polls: o.polls,
+                wall: o.wall,
+            }
+        })
+        .collect();
 
     let mut t = Table::new(
         "xtra_sim_throughput",
-        &["scenario", "threads", "polls", "wall_ms", "polls_per_sec"],
+        &["scenario", "polls", "wall_ms", "polls_per_sec"],
     );
     for r in &rows {
         t.row(&[
             &r.name,
-            &r.threads,
             &r.polls,
             &f2(r.wall.as_secs_f64() * 1e3),
             &format!("{:.0}", r.polls_per_sec()),
@@ -348,4 +265,34 @@ pub fn run() {
     }
     t.finish();
     write_bench_json(&rows);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The serial engine's schedule, pinned: any change to how the
+    /// executor, timers, channels, rpclib or simnet order their wakeups
+    /// moves at least one of these poll counts.
+    #[test]
+    fn scenario_poll_counts_are_pinned() {
+        let polls: Vec<(&str, u64)> = SCENARIOS
+            .iter()
+            .map(|&(name, build)| {
+                let sim = Sim::new();
+                build(&sim);
+                sim.run();
+                (name, sim.poll_count())
+            })
+            .collect();
+        assert_eq!(
+            polls,
+            [
+                ("timer_storm", 100_200),
+                ("pingpong", 64_192),
+                ("spawn_churn", 40_201),
+                ("rpc_storm", 62_426),
+            ]
+        );
+    }
 }

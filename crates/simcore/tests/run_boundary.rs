@@ -1,7 +1,6 @@
-//! Regression tests pinning the `run_until`/`run_before`/`run_for`
-//! boundary semantics that the partitioned engine's window barrier leans
-//! on (ISSUE 6 satellite): timers exactly at the limit, the final clock
-//! value, `next_event_time`, and run-loop re-entrancy.
+//! Regression tests pinning the `run_until`/`run_for` boundary semantics:
+//! timers exactly at the limit, the final clock value, and run-loop
+//! re-entrancy.
 
 use simcore::{Duration, Sim, SimTime};
 use std::cell::Cell;
@@ -35,26 +34,11 @@ fn run_until_includes_events_exactly_at_the_limit() {
 }
 
 #[test]
-fn run_before_excludes_events_exactly_at_the_limit() {
-    let sim = Sim::new();
-    let hits = Rc::new(Cell::new(0));
-    mark_at(&sim, 5, &hits);
-    mark_at(&sim, 10, &hits); // exactly at the limit: must NOT fire
-    sim.run_before(at_micros(10));
-    assert_eq!(hits.get(), 1, "the event at the limit is left pending");
-    assert_eq!(sim.now(), at_micros(10), "clock still lands on the limit");
-    // The deferred event is the next thing to run, at its original time.
-    assert_eq!(sim.next_event_time(), Some(at_micros(10)));
-    sim.run_before(at_micros(20));
-    assert_eq!(hits.get(), 2);
-}
-
-#[test]
 fn clock_lands_on_the_limit_even_without_events() {
     let sim = Sim::new();
     sim.run_until(at_micros(7));
     assert_eq!(sim.now(), at_micros(7));
-    sim.run_before(at_micros(9));
+    sim.run_until(at_micros(9));
     assert_eq!(sim.now(), at_micros(9));
     // run() with no events at all leaves the clock untouched.
     let idle = Sim::new();
@@ -75,29 +59,6 @@ fn run_for_accumulates_from_the_current_instant() {
         (2, at_micros(8)),
         "4+4 = 8, inclusive"
     );
-}
-
-#[test]
-fn next_event_time_tracks_ready_then_timers_then_quiescence() {
-    let sim = Sim::new();
-    assert_eq!(sim.next_event_time(), None, "empty sim is quiescent");
-    let hits = Rc::new(Cell::new(0));
-    mark_at(&sim, 6, &hits);
-    // The freshly spawned task is ready at the current instant.
-    assert_eq!(sim.next_event_time(), Some(SimTime::ZERO));
-    sim.run_before(at_micros(3));
-    // Only the timer remains.
-    assert_eq!(sim.next_event_time(), Some(at_micros(6)));
-    sim.run();
-    assert_eq!(sim.next_event_time(), None, "quiescent after the timer");
-    // A permanently blocked task does not count as a pending event.
-    let (_tx, mut rx) = simcore::sync::mpsc::channel::<u8>();
-    sim.spawn(async move {
-        rx.recv().await;
-    });
-    sim.run();
-    assert_eq!(sim.next_event_time(), None);
-    assert_eq!(sim.live_tasks(), 1, "...but it is still live");
 }
 
 #[test]
