@@ -21,6 +21,7 @@ use dmcommon::{CopyMode, DmError, DmResult, GlobalPid, PAGE_SIZE};
 
 use crate::translator::{PageIdx, Translator};
 use crate::va_tree::VaTree;
+use crate::wal::Cursor;
 
 /// Work performed by one Page-manager operation, for cost charging.
 #[derive(Clone, Copy, Default, Debug, PartialEq, Eq)]
@@ -586,12 +587,18 @@ impl PageManager {
     }
 
     /// Rebuild a manager from a snapshot produced by
-    /// [`Self::snapshot_into`], advancing `pos` past the consumed bytes
-    /// (a multi-shard server concatenates one snapshot per shard).
-    /// `None` on any malformed input.
+    /// [`Self::snapshot_into`] starting at `buf[*pos]` (a server
+    /// checkpoint puts its own tables first), advancing `pos` past the
+    /// consumed bytes. `None` on any malformed input.
     pub fn restore_from(buf: &[u8], pos: &mut usize) -> Option<PageManager> {
-        let mut c = SnapCursor { buf, pos: *pos };
+        let mut c = Cursor { buf, pos: *pos };
         let capacity = c.u32()? as usize;
+        // Every page is listed once, as a free-FIFO entry or a used page,
+        // each at least 4 bytes: a larger capacity is corrupt, and must be
+        // refused before it sizes the page tables.
+        if capacity > c.remaining() / 4 {
+            return None;
+        }
         let copy_mode = match c.u8()? {
             0 => CopyMode::CopyOnWrite,
             1 => CopyMode::Eager,
@@ -638,6 +645,9 @@ impl PageManager {
             let has_owner = c.u8()? != 0;
             let owner = c.u32()?;
             let npages = c.u32()? as usize;
+            if npages > c.remaining() / 4 {
+                return None;
+            }
             let mut pages = Vec::with_capacity(npages);
             for _ in 0..npages {
                 pages.push(c.u32()?);
@@ -659,31 +669,6 @@ impl PageManager {
     /// logical state (recovery oracles compare recovered vs shadow).
     pub fn state_digest(&self) -> u64 {
         crate::wal::fnv1a(&self.snapshot())
-    }
-}
-
-struct SnapCursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> SnapCursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
 }
 
@@ -992,6 +977,12 @@ mod tests {
         bad[3] = 0;
         let mut pos = 0;
         assert!(PageManager::restore_from(&bad, &mut pos).is_none());
+        // A capacity the snapshot cannot list fails before it sizes the
+        // page tables.
+        let mut huge = snap.clone();
+        huge[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut pos = 0;
+        assert!(PageManager::restore_from(&huge, &mut pos).is_none());
     }
 
     #[test]

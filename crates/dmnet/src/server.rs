@@ -10,14 +10,11 @@
 //! * DRAM bandwidth and traffic for data reads/writes and for every page
 //!   copied by COW or by the eager `-copy` ablation.
 //!
-//! **Sharding** (paper §VI-C): "Concurrent requests received in a single
-//! memory server will be dispatched to its different CPU cores, each
-//! responsible for managing a portion of the memory." With
-//! [`DmServerConfig::shards`] > 1 the server runs that many independent
-//! [`PageManager`] shards, each pinned to one core; allocations are spread
-//! round-robin and the owning shard is encoded in the top bits of every DM
-//! virtual address and ref key, so later operations route without any
-//! shared state between cores.
+//! **Dispatch** (paper §VI-C): "Concurrent requests received in a single
+//! memory server will be dispatched to its different CPU cores." The
+//! server's one [`PageManager`] is served by [`DmServerConfig::cores`]
+//! cores; scaling past one server is the consistent-hash ring's job
+//! ([`crate::shard`]).
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -27,7 +24,7 @@ use bytes::Bytes;
 use dmcommon::{CopyMode, DmError, DmResult, GlobalPid, PAGE_SIZE};
 use memsim::NodeMemory;
 use rpclib::{Rpc, RpcBuilder, RpcConfig};
-use simcore::{CpuPool, SimRng};
+use simcore::CpuPool;
 use simnet::{Network, NodeId};
 use telemetry::SpanKind;
 
@@ -35,21 +32,7 @@ use crate::admission::{Admission, AdmissionConfig};
 use crate::page_manager::{OpCost, PageManager};
 use crate::proto::{self, err_response, moved_response, ok_response, req, Reader, Writer};
 use crate::shard::GKEY_BIT;
-use crate::wal::{Record, Wal, WalConfig};
-
-/// Top bits of DM virtual addresses / ref keys carry the owning shard.
-const SHARD_SHIFT: u32 = 48;
-const LOW_MASK: u64 = (1u64 << SHARD_SHIFT) - 1;
-
-/// Version byte of the whole-server checkpoint snapshot (DESIGN.md §12).
-/// Version 2 appends the sharded plane's gkey-binding and tombstone
-/// tables (DESIGN.md §13); version 3 additionally appends the coherence
-/// plane's per-ref version table (DESIGN.md §15). A server whose tables
-/// are empty still emits version 1, byte-identical to pre-sharding
-/// checkpoints.
-const SNAPSHOT_VERSION: u8 = 1;
-const SNAPSHOT_VERSION_SHARDED: u8 = 2;
-const SNAPSHOT_VERSION_COHERENT: u8 = 3;
+use crate::wal::{self, Record, SnapshotTables, Wal, WalConfig};
 
 /// Sentinel pid in a `Record::PutRef` for an unowned ref (a migrated ref
 /// whose owner was not registered at the destination); replay maps it
@@ -57,10 +40,10 @@ const SNAPSHOT_VERSION_COHERENT: u8 = 3;
 const NO_OWNER_PID: u32 = u32::MAX;
 
 /// Outcome of resolving a wire ref key ([`DmServer::route_key`]): either
-/// the owning `(shard, local key)`, or a ready-made redirect response for
-/// a gkey that migrated away.
+/// the local ref key, or a ready-made redirect response for a gkey that
+/// migrated away.
 enum KeyRoute {
-    Local(usize, u64),
+    Local(u64),
     Redirect(Bytes),
 }
 
@@ -105,25 +88,19 @@ type HolderDir =
 /// DM server tuning knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct DmServerConfig {
-    /// Pinned pool size in pages (default 64 Ki pages = 256 MiB), split
-    /// evenly across shards.
+    /// Pinned pool size in pages (default 64 Ki pages = 256 MiB).
     pub capacity_pages: usize,
     /// COW (DmRPC) or eager copy (the `-copy` ablation).
     pub copy_mode: CopyMode,
-    /// Worker cores serving DM requests when `shards == 1` (Fig. 7 uses 1).
+    /// Worker cores that requests are dispatched to (paper §VI-C; Fig. 7
+    /// uses 1). They run request dispatch and every op's CPU charge.
     pub cores: u64,
-    /// Memory-partitioned shards, one core each (paper §VI-C). 1 = a single
-    /// page manager served by `cores` cores.
-    pub shards: usize,
     /// Fixed CPU cost per DM operation.
     pub per_op_cpu: Duration,
     /// CPU cost per page whose refcount / translation entry is updated.
     pub per_page_cpu: Duration,
     /// CPU cost of one software translation lookup.
     pub translation_cpu: Duration,
-    /// Request-dispatch CPU charged on the owning shard when sharded (the
-    /// unsharded path charges it in the RPC layer instead).
-    pub dispatch_cpu: Duration,
     /// Paper §V-A2 future work, implemented here as an option: "skip the
     /// software-based translation by modifying OS and letting MMU translate
     /// the DM virtual address directly to the physical address". When true,
@@ -168,11 +145,9 @@ impl Default for DmServerConfig {
             capacity_pages: 65536,
             copy_mode: CopyMode::CopyOnWrite,
             cores: 4,
-            shards: 1,
             per_op_cpu: Duration::from_nanos(300),
             per_page_cpu: Duration::from_nanos(10),
             translation_cpu: Duration::from_nanos(15),
-            dispatch_cpu: Duration::from_nanos(400),
             hw_translation: false,
             lease_ttl: None,
             durability: WalConfig::from_env(),
@@ -182,18 +157,15 @@ impl Default for DmServerConfig {
     }
 }
 
-struct Shard {
-    pm: RefCell<PageManager>,
-    cpu: CpuPool,
-}
-
 /// A running DM server.
 pub struct DmServer {
-    shards: Vec<Shard>,
+    pm: RefCell<PageManager>,
+    /// The `config.cores` cores; the RPC layer's request dispatch runs on
+    /// the same pool.
+    cpu: CpuPool,
     mem: NodeMemory,
     rpc: Rc<Rpc>,
     config: DmServerConfig,
-    next_alloc: Cell<usize>,
     /// PID ownership: which endpoint registered each PID. Requests naming a
     /// PID are only honored from its owner (process isolation — a buggy or
     /// malicious service cannot free another process's regions).
@@ -220,8 +192,8 @@ pub struct DmServer {
     wal: Option<Wal>,
     /// Completed `restart_from_log` recoveries (observability).
     recoveries: Cell<u64>,
-    /// Sharded plane (DESIGN.md §13): global key → tagged local ref key
-    /// for every gkey currently homed here.
+    /// Sharded plane (DESIGN.md §13): global key → local ref key for
+    /// every gkey currently homed here.
     gmap: RefCell<std::collections::HashMap<u64, u64>>,
     /// Redirect tombstones: gkeys that migrated away, with the forwarding
     /// address clients chase (one hop per tombstone).
@@ -237,7 +209,7 @@ pub struct DmServer {
     /// Overload controller, present when `config.admission` is set.
     admission: Option<Admission>,
     /// Coherence plane (DESIGN.md §15): per-ref versions, keyed by the
-    /// wire-visible ref key (gkey or shard-tagged key). Holds only keys
+    /// wire-visible ref key (gkey or local key). Holds only keys
     /// whose version differs from the implicit creation version 1 — in
     /// practice, migrated-in gkeys. Dead keys are removed (keys are
     /// minted once, so a dead key's version never needs to be compared
@@ -266,42 +238,23 @@ impl DmServer {
         mem: NodeMemory,
         config: DmServerConfig,
     ) -> Rc<DmServer> {
-        assert!(config.shards >= 1, "at least one shard");
-        let sharded = config.shards > 1;
-        let shards: Vec<Shard> = if sharded {
-            let per = config.capacity_pages / config.shards;
-            assert!(per > 0, "capacity too small for shard count");
-            (0..config.shards)
-                .map(|_| Shard {
-                    pm: RefCell::new(PageManager::new(per, config.copy_mode)),
-                    cpu: CpuPool::new(1),
-                })
-                .collect()
-        } else {
-            vec![Shard {
-                pm: RefCell::new(PageManager::new(config.capacity_pages, config.copy_mode)),
-                cpu: CpuPool::new(config.cores),
-            }]
-        };
-        let mut builder = RpcBuilder::new(net, node, proto::DM_PORT)
+        let cpu = CpuPool::new(config.cores);
+        let rpc = RpcBuilder::new(net, node, proto::DM_PORT)
             .config(RpcConfig {
                 // DMA lands directly in pinned pages; the data-path costs
                 // are charged explicitly via the memory model instead.
                 per_kb_cpu: Duration::ZERO,
                 ..RpcConfig::default()
             })
-            .mem(mem.clone());
-        if !sharded {
-            // Unsharded: request dispatch runs on the shared core pool.
-            builder = builder.cpu(shards[0].cpu.clone());
-        }
-        let rpc = builder.build();
+            .mem(mem.clone())
+            .cpu(cpu.clone())
+            .build();
         let server = Rc::new(DmServer {
-            shards,
+            pm: RefCell::new(PageManager::new(config.capacity_pages, config.copy_mode)),
+            cpu,
             mem,
-            rpc: rpc.clone(),
+            rpc,
             config,
-            next_alloc: Cell::new(0),
             owners: RefCell::new(std::collections::HashMap::new()),
             leases: RefCell::new(std::collections::HashMap::new()),
             leases_reclaimed: Cell::new(0),
@@ -378,11 +331,9 @@ impl DmServer {
             } else {
                 Default::default()
             };
-            for s in &self.shards {
-                // Already-released shards (or pids never touched here) are
-                // fine: reclamation must be idempotent.
-                let _ = s.pm.borrow_mut().release_process(GlobalPid(pid));
-            }
+            // An already-released pid is fine: reclamation must be
+            // idempotent.
+            let _ = self.pm.borrow_mut().release_process(GlobalPid(pid));
             self.leases.borrow_mut().remove(&pid);
             self.owners.borrow_mut().remove(&pid);
             self.leases_reclaimed.set(self.leases_reclaimed.get() + 1);
@@ -398,7 +349,7 @@ impl DmServer {
             // The sweeper acts outside any request, so it cannot await the
             // media; the append is charged as free background time (the
             // reclaim is not on any acked-response path).
-            self.persist_untimed(|| Record::ReleaseProcess { pid });
+            self.persist_untimed(|| vec![Record::ReleaseProcess { pid }]);
             // The sweeper acts on its own, not on behalf of any request,
             // so each reclamation becomes a standalone trace.
             telemetry::root_event(
@@ -528,227 +479,81 @@ impl DmServer {
         self.moved.borrow().len()
     }
 
-    /// FNV-1a digest of every shard's canonical page-manager snapshot —
-    /// the whole memory-plane state (pages, refcounts, VA trees, refs,
-    /// free-list order) excluding volatile serving state (epoch, leases,
-    /// owners, the round-robin allocation cursor). Recovery oracles
-    /// compare this across crash/restart: log-before-ack makes the
-    /// mutation and its record atomic, so the digest after
+    /// FNV-1a digest of the canonical page-manager snapshot — the whole
+    /// memory-plane state (pages, refcounts, VA trees, refs, free-list
+    /// order) excluding volatile serving state (epoch, leases, owners).
+    /// Recovery oracles compare this across crash/restart: log-before-ack
+    /// makes the mutation and its record atomic, so the digest after
     /// `restart_from_log` equals the digest at the instant of a clean
     /// crash.
     pub fn pages_digest(&self) -> u64 {
-        let mut buf = Vec::new();
-        for s in &self.shards {
-            s.pm.borrow().snapshot_into(&mut buf);
-        }
-        crate::wal::fnv1a(&buf)
+        self.pm.borrow().state_digest()
     }
 
-    /// Canonical whole-server checkpoint: version, shard count, epoch,
-    /// owner table (sorted by pid), then each shard's page-manager
-    /// snapshot. Leases and the allocation cursor are volatile by design —
-    /// recovery re-grants full-TTL leases and restarts the cursor (failed
-    /// ops advance the cursor without producing records, so it is not
-    /// reconstructible from the log; it is only a placement hint).
+    /// Canonical whole-server checkpoint ([`wal::encode_snapshot`]).
+    /// Leases and the holder directory are volatile by design: recovery
+    /// re-grants full-TTL leases, and its epoch bump stands in for every
+    /// pre-crash grant.
     fn snapshot_bytes(&self) -> Vec<u8> {
-        let gmap = self.gmap.borrow();
-        let moved = self.moved.borrow();
-        // A server that never served the sharded plane emits the version-1
-        // layout, byte-for-byte — log sizes of pre-sharding workloads (and
-        // the CSVs derived from them) cannot shift. Likewise a coherent
-        // server with an empty version table (no live migrated refs)
-        // emits the pre-coherence layout.
-        let versions = self.versions.borrow();
-        let sharded_plane = !gmap.is_empty() || !moved.is_empty();
-        let coherent_plane = !versions.is_empty();
-        let mut out = vec![if coherent_plane {
-            SNAPSHOT_VERSION_COHERENT
-        } else if sharded_plane {
-            SNAPSHOT_VERSION_SHARDED
-        } else {
-            SNAPSHOT_VERSION
-        }];
-        out.extend_from_slice(&(self.shards.len() as u16).to_le_bytes());
-        out.extend_from_slice(&self.epoch.get().to_le_bytes());
-        let mut owners: Vec<(u32, simnet::Addr)> =
-            self.owners.borrow().iter().map(|(&p, &a)| (p, a)).collect();
-        owners.sort_unstable_by_key(|&(p, _)| p);
-        out.extend_from_slice(&(owners.len() as u32).to_le_bytes());
-        for (pid, addr) in owners {
-            out.extend_from_slice(&pid.to_le_bytes());
-            out.extend_from_slice(&addr.node.0.to_le_bytes());
-            out.extend_from_slice(&addr.port.to_le_bytes());
+        fn sorted<K: Ord + Copy, V: Copy>(m: &std::collections::HashMap<K, V>) -> Vec<(K, V)> {
+            let mut v: Vec<(K, V)> = m.iter().map(|(&k, &v)| (k, v)).collect();
+            v.sort_unstable_by_key(|&(k, _)| k);
+            v
         }
-        if sharded_plane || coherent_plane {
-            let mut binds: Vec<(u64, u64)> = gmap.iter().map(|(&g, &k)| (g, k)).collect();
-            binds.sort_unstable_by_key(|&(g, _)| g);
-            out.extend_from_slice(&(binds.len() as u32).to_le_bytes());
-            for (gkey, key) in binds {
-                out.extend_from_slice(&gkey.to_le_bytes());
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-            let mut tombs: Vec<(u64, simnet::Addr)> = moved.iter().map(|(&g, &a)| (g, a)).collect();
-            tombs.sort_unstable_by_key(|&(g, _)| g);
-            out.extend_from_slice(&(tombs.len() as u32).to_le_bytes());
-            for (gkey, addr) in tombs {
-                out.extend_from_slice(&gkey.to_le_bytes());
-                out.extend_from_slice(&addr.node.0.to_le_bytes());
-                out.extend_from_slice(&addr.port.to_le_bytes());
-            }
-        }
-        if coherent_plane {
-            let mut vers: Vec<(u64, u64)> = versions.iter().map(|(&g, &v)| (g, v)).collect();
-            vers.sort_unstable_by_key(|&(g, _)| g);
-            out.extend_from_slice(&(vers.len() as u32).to_le_bytes());
-            for (gkey, ver) in vers {
-                out.extend_from_slice(&gkey.to_le_bytes());
-                out.extend_from_slice(&ver.to_le_bytes());
-            }
-        }
-        drop(gmap);
-        drop(moved);
-        drop(versions);
-        for s in &self.shards {
-            s.pm.borrow().snapshot_into(&mut out);
-        }
-        out
+        let tables = SnapshotTables {
+            epoch: self.epoch.get(),
+            owners: sorted(&self.owners.borrow()),
+            binds: sorted(&self.gmap.borrow()),
+            tombs: sorted(&self.moved.borrow()),
+            versions: sorted(&self.versions.borrow()),
+        };
+        wal::encode_snapshot(&tables, &self.pm.borrow())
     }
 
     /// Inverse of [`Self::snapshot_bytes`], applied during replay of a
-    /// [`Record::Checkpoint`]. Panics on malformed input: the checkpoint
-    /// sits under the log's CRC, so damage here means the scan accepted a
-    /// record it should not have.
+    /// [`Record::Checkpoint`]. Panics on a snapshot that does not decode:
+    /// the checkpoint sits under the log's CRC, so damage here means the
+    /// scan accepted a record it should not have.
     fn restore_snapshot(&self, buf: &[u8]) {
-        const BAD: &str = "replay: corrupt checkpoint";
-        assert!(buf.len() >= 3, "{BAD}");
-        let version = buf[0];
-        assert!(
-            version == SNAPSHOT_VERSION
-                || version == SNAPSHOT_VERSION_SHARDED
-                || version == SNAPSHOT_VERSION_COHERENT,
-            "{BAD}"
-        );
-        let shard_count = u16::from_le_bytes(buf[1..3].try_into().expect(BAD)) as usize;
-        assert_eq!(shard_count, self.shards.len(), "{BAD}");
-        let mut pos = 3usize;
-        let take = |pos: &mut usize, n: usize| -> &[u8] {
-            assert!(*pos + n <= buf.len(), "{BAD}");
-            let s = &buf[*pos..*pos + n];
-            *pos += n;
-            s
-        };
-        let epoch = u64::from_le_bytes(take(&mut pos, 8).try_into().expect(BAD));
-        self.epoch.set(epoch);
-        let n_owners = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-        let mut owners = self.owners.borrow_mut();
-        owners.clear();
-        for _ in 0..n_owners {
-            let pid = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-            let node = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-            let port = u16::from_le_bytes(take(&mut pos, 2).try_into().expect(BAD));
-            owners.insert(
-                pid,
-                simnet::Addr {
-                    node: NodeId(node),
-                    port,
-                },
-            );
-        }
-        drop(owners);
-        let mut gmap = self.gmap.borrow_mut();
-        let mut moved = self.moved.borrow_mut();
-        gmap.clear();
-        moved.clear();
-        self.versions.borrow_mut().clear();
-        if version >= SNAPSHOT_VERSION_SHARDED {
-            let n_binds = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-            for _ in 0..n_binds {
-                let gkey = u64::from_le_bytes(take(&mut pos, 8).try_into().expect(BAD));
-                let key = u64::from_le_bytes(take(&mut pos, 8).try_into().expect(BAD));
-                gmap.insert(gkey, key);
-            }
-            let n_tombs = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-            for _ in 0..n_tombs {
-                let gkey = u64::from_le_bytes(take(&mut pos, 8).try_into().expect(BAD));
-                let node = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-                let port = u16::from_le_bytes(take(&mut pos, 2).try_into().expect(BAD));
-                moved.insert(
-                    gkey,
-                    simnet::Addr {
-                        node: NodeId(node),
-                        port,
-                    },
-                );
-            }
-        }
-        if version >= SNAPSHOT_VERSION_COHERENT {
-            let n_vers = u32::from_le_bytes(take(&mut pos, 4).try_into().expect(BAD));
-            let mut versions = self.versions.borrow_mut();
-            for _ in 0..n_vers {
-                let gkey = u64::from_le_bytes(take(&mut pos, 8).try_into().expect(BAD));
-                let ver = u64::from_le_bytes(take(&mut pos, 8).try_into().expect(BAD));
-                versions.insert(gkey, ver);
-            }
-        }
-        drop(gmap);
-        drop(moved);
-        for s in &self.shards {
-            let pm = PageManager::restore_from(buf, &mut pos).expect(BAD);
-            *s.pm.borrow_mut() = pm;
-        }
-        assert_eq!(pos, buf.len(), "{BAD}");
+        let (t, pm) = wal::decode_snapshot(buf).expect("replay: corrupt checkpoint");
+        self.epoch.set(t.epoch);
+        *self.owners.borrow_mut() = t.owners.into_iter().collect();
+        *self.gmap.borrow_mut() = t.binds.into_iter().collect();
+        *self.moved.borrow_mut() = t.tombs.into_iter().collect();
+        *self.versions.borrow_mut() = t.versions.into_iter().collect();
+        *self.pm.borrow_mut() = pm;
     }
 
-    /// Append `make()` to the log synchronously (atomic with the mutation
-    /// the caller just applied — the simulator is single-threaded), then
-    /// charge the media time. Zero-cost media returns without yielding, so
-    /// the executor schedule is untouched. Compaction, when due, happens
-    /// here — between records of one op it can never trigger because the
-    /// multi-record path uses [`Self::persist2`].
-    async fn persist(&self, make: impl FnOnce() -> Record) {
-        let Some(w) = &self.wal else { return };
-        let mut n = w.push(&make());
+    /// Append the records `make()` returns to the log synchronously
+    /// (atomic with the mutation the caller just applied — the simulator
+    /// is single-threaded) and return the bytes written, or `None` when
+    /// durability is off. All of one op's records land before the
+    /// compaction check, so a checkpoint can never split an op (replay
+    /// would double-apply half of it).
+    fn log(&self, make: impl FnOnce() -> Vec<Record>) -> Option<(&Wal, u64)> {
+        let w = self.wal.as_ref()?;
+        let mut n: u64 = make().iter().map(|r| w.push(r)).sum();
         if w.should_compact() {
             n += w.compact(self.snapshot_bytes());
         }
-        w.media().append(n).await;
+        Some((w, n))
     }
 
-    /// [`Self::persist`] for composite ops (WRITE_CREATE_REF): both
-    /// records land before the compaction check, so a checkpoint can never
-    /// split one op's records (replay would double-apply half of it).
-    async fn persist2(&self, make: impl FnOnce() -> (Record, Record)) {
-        let Some(w) = &self.wal else { return };
-        let (a, b) = make();
-        let mut n = w.push(&a) + w.push(&b);
-        if w.should_compact() {
-            n += w.compact(self.snapshot_bytes());
+    /// [`Self::log`], then charge the media time. Zero-cost media returns
+    /// without yielding, so the executor schedule is untouched.
+    async fn persist(&self, make: impl FnOnce() -> Vec<Record>) {
+        if let Some((w, n)) = self.log(make) {
+            w.media().append(n).await;
         }
-        w.media().append(n).await;
     }
 
-    /// [`Self::persist2`] for three-record ops (a coherent MIGRATE_IN:
-    /// PutRef + GBind + GVer land atomically before the compaction
-    /// check).
-    async fn persist3(&self, make: impl FnOnce() -> (Record, Record, Record)) {
-        let Some(w) = &self.wal else { return };
-        let (a, b, c) = make();
-        let mut n = w.push(&a) + w.push(&b) + w.push(&c);
-        if w.should_compact() {
-            n += w.compact(self.snapshot_bytes());
+    /// [`Self::log`] for non-request paths (the lease sweeper): the
+    /// records are installed and counted but the media time is not
+    /// awaited.
+    fn persist_untimed(&self, make: impl FnOnce() -> Vec<Record>) {
+        if let Some((w, n)) = self.log(make) {
+            w.media().append_untimed(n);
         }
-        w.media().append(n).await;
-    }
-
-    /// Synchronous persist for non-request paths (the lease sweeper): the
-    /// record is installed and counted but the media time is not awaited.
-    fn persist_untimed(&self, make: impl FnOnce() -> Record) {
-        let Some(w) = &self.wal else { return };
-        let mut n = w.push(&make());
-        if w.should_compact() {
-            n += w.compact(self.snapshot_bytes());
-        }
-        w.media().append_untimed(n);
     }
 
     /// Apply one replayed record. Mutations `expect`: the record passed
@@ -759,15 +564,7 @@ impl DmServer {
     fn replay(&self, rec: &Record) {
         match rec {
             Record::Register { node, port } => {
-                let mut pid = None;
-                for s in &self.shards {
-                    let p = s.pm.borrow_mut().register_process();
-                    match pid {
-                        None => pid = Some(p),
-                        Some(prev) => assert_eq!(prev, p, "replay: shard pid divergence"),
-                    }
-                }
-                let pid = pid.expect("at least one shard");
+                let pid = self.pm.borrow_mut().register_process();
                 self.owners.borrow_mut().insert(
                     pid.0,
                     simnet::Addr {
@@ -776,68 +573,44 @@ impl DmServer {
                     },
                 );
             }
-            Record::Alloc {
-                shard,
-                pid,
-                len,
-                va,
-            } => {
-                let got = self.shards[*shard as usize]
+            Record::Alloc { pid, len, va } => {
+                let got = self
                     .pm
                     .borrow_mut()
                     .ralloc(GlobalPid(*pid), *len)
                     .expect("replay: ralloc");
                 debug_assert_eq!(got, *va, "replay: alloc divergence");
             }
-            Record::Free { shard, pid, va } => {
-                self.shards[*shard as usize]
-                    .pm
+            Record::Free { pid, va } => {
+                self.pm
                     .borrow_mut()
                     .rfree(GlobalPid(*pid), *va)
                     .expect("replay: rfree");
             }
-            Record::Write {
-                shard,
-                pid,
-                va,
-                data,
-            } => {
-                self.shards[*shard as usize]
-                    .pm
+            Record::Write { pid, va, data } => {
+                self.pm
                     .borrow_mut()
                     .write(GlobalPid(*pid), *va, data)
                     .expect("replay: write");
             }
-            Record::CreateRef {
-                shard,
-                pid,
-                va,
-                len,
-                key,
-            } => {
-                let (got, _) = self.shards[*shard as usize]
+            Record::CreateRef { pid, va, len, key } => {
+                let (got, _) = self
                     .pm
                     .borrow_mut()
                     .create_ref(GlobalPid(*pid), *va, *len)
                     .expect("replay: create_ref");
                 debug_assert_eq!(got, *key, "replay: create_ref divergence");
             }
-            Record::MapRef {
-                shard,
-                pid,
-                key,
-                va,
-            } => {
-                let (got, _, _) = self.shards[*shard as usize]
+            Record::MapRef { pid, key, va } => {
+                let (got, _, _) = self
                     .pm
                     .borrow_mut()
                     .map_ref(GlobalPid(*pid), *key)
                     .expect("replay: map_ref");
                 debug_assert_eq!(got, *va, "replay: map_ref divergence");
             }
-            Record::ReleaseRef { shard, key } => {
-                self.shards[*shard as usize]
-                    .pm
+            Record::ReleaseRef { key } => {
+                self.pm
                     .borrow_mut()
                     .release_ref(*key)
                     .expect("replay: release_ref");
@@ -847,15 +620,10 @@ impl DmServer {
                     self.epoch.set(self.epoch.get() + 1);
                 }
             }
-            Record::PutRef {
-                shard,
-                pid,
-                key,
-                data,
-            } => {
+            Record::PutRef { pid, key, data } => {
                 // The sentinel pid marks an unowned migrated-in ref.
                 let owner = (*pid != NO_OWNER_PID).then_some(GlobalPid(*pid));
-                let (got, _) = self.shards[*shard as usize]
+                let (got, _) = self
                     .pm
                     .borrow_mut()
                     .put_ref(data, owner)
@@ -870,11 +638,8 @@ impl DmServer {
                 } else {
                     Default::default()
                 };
-                for s in &self.shards {
-                    // Idempotent, exactly like the live sweep: shards that
-                    // never saw the pid return an error we ignore.
-                    let _ = s.pm.borrow_mut().release_process(GlobalPid(*pid));
-                }
+                // Idempotent, exactly like the live sweep.
+                let _ = self.pm.borrow_mut().release_process(GlobalPid(*pid));
                 self.owners.borrow_mut().remove(pid);
                 if self.coherent() {
                     for raw in dying {
@@ -916,8 +681,8 @@ impl DmServer {
     ///
     /// Steps: charge one sequential media scan of the log; validate it
     /// (CRC, framing, sequence continuity) and truncate any torn tail;
-    /// discard all volatile state (fresh page managers, empty owner/lease
-    /// tables, epoch 0, allocation cursor 0); replay the valid prefix
+    /// discard all volatile state (a fresh page manager, empty owner/lease
+    /// tables, epoch 0); replay the valid prefix
     /// (a checkpoint record restores its snapshot, subsequent records
     /// re-apply on top); advance the epoch once more past the replayed
     /// value so client caches filled before the crash can never be
@@ -937,13 +702,7 @@ impl DmServer {
         w.media().scan(w.log_bytes()).await;
         let report = w.scan();
         w.repair(&report);
-        for s in &self.shards {
-            let (cap, mode) = {
-                let pm = s.pm.borrow();
-                (pm.capacity_pages(), pm.copy_mode())
-            };
-            *s.pm.borrow_mut() = PageManager::new(cap, mode);
-        }
+        *self.pm.borrow_mut() = PageManager::new(self.config.capacity_pages, self.config.copy_mode);
         self.owners.borrow_mut().clear();
         self.leases.borrow_mut().clear();
         self.gmap.borrow_mut().clear();
@@ -955,7 +714,6 @@ impl DmServer {
         self.dir_grants.set(0);
         self.versions.borrow_mut().clear();
         self.epoch.set(0);
-        self.next_alloc.set(0);
         for rec in &report.records {
             self.replay(rec);
         }
@@ -1008,43 +766,24 @@ impl DmServer {
         &self.mem
     }
 
-    /// Number of memory shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Access the page manager (tests and invariant checks).
-    ///
-    /// # Panics
-    /// Panics on a sharded server — use [`DmServer::check_invariants_all`],
-    /// [`DmServer::free_pages_total`] or [`DmServer::capacity_pages_total`].
     pub fn with_page_manager<R>(&self, f: impl FnOnce(&mut PageManager) -> R) -> R {
-        assert_eq!(
-            self.shards.len(),
-            1,
-            "sharded server: use the *_all accessors"
-        );
-        f(&mut self.shards[0].pm.borrow_mut())
+        f(&mut self.pm.borrow_mut())
     }
 
-    /// Check every shard's invariants.
+    /// Check the page manager's invariants.
     pub fn check_invariants_all(&self) {
-        for s in &self.shards {
-            s.pm.borrow().check_invariants();
-        }
+        self.pm.borrow().check_invariants();
     }
 
-    /// Free pages across all shards.
+    /// Free pages in the pool.
     pub fn free_pages_total(&self) -> usize {
-        self.shards.iter().map(|s| s.pm.borrow().free_pages()).sum()
+        self.pm.borrow().free_pages()
     }
 
-    /// Capacity across all shards.
+    /// Capacity of the pool in pages.
     pub fn capacity_pages_total(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.pm.borrow().capacity_pages())
-            .sum()
+        self.pm.borrow().capacity_pages()
     }
 
     /// Fraction of DM operation time spent in software address translation
@@ -1057,20 +796,7 @@ impl DmServer {
         self.translation_ns.get() as f64 / total as f64
     }
 
-    // -- shard routing -------------------------------------------------------
-
-    fn tag(&self, shard: usize, v: u64) -> u64 {
-        debug_assert!(v <= LOW_MASK, "value overflows shard tag space");
-        ((shard as u64) << SHARD_SHIFT) | v
-    }
-
-    fn route(&self, tagged: u64) -> DmResult<(usize, u64)> {
-        let shard = (tagged >> SHARD_SHIFT) as usize;
-        if shard >= self.shards.len() {
-            return Err(DmError::InvalidAddress);
-        }
-        Ok((shard, tagged & LOW_MASK))
-    }
+    // -- request routing -----------------------------------------------------
 
     /// Validate that `src` owns `pid`.
     fn check_owner(&self, pid: GlobalPid, src: simnet::Addr) -> DmResult<()> {
@@ -1080,24 +806,16 @@ impl DmServer {
         }
     }
 
-    fn pick_alloc_shard(&self) -> usize {
-        let s = self.next_alloc.get();
-        self.next_alloc.set((s + 1) % self.shards.len());
-        s
-    }
-
-    /// Resolve a wire ref key: a plain tagged key routes to its shard
-    /// directly; a gkey (bit 63) resolves through the binding table, or
-    /// yields the ready-made redirect response when only a tombstone
-    /// remains. An unknown gkey is an invalid ref.
+    /// Resolve a wire ref key: a plain key is the local key itself; a
+    /// gkey (bit 63) resolves through the binding table, or yields the
+    /// ready-made redirect response when only a tombstone remains. An
+    /// unknown gkey is an invalid ref.
     fn route_key(&self, raw: u64) -> DmResult<KeyRoute> {
         if raw & GKEY_BIT == 0 {
-            let (shard, key) = self.route(raw)?;
-            return Ok(KeyRoute::Local(shard, key));
+            return Ok(KeyRoute::Local(raw));
         }
-        if let Some(&tagged) = self.gmap.borrow().get(&raw) {
-            let (shard, key) = self.route(tagged)?;
-            return Ok(KeyRoute::Local(shard, key));
+        if let Some(&key) = self.gmap.borrow().get(&raw) {
+            return Ok(KeyRoute::Local(key));
         }
         if let Some(&fwd) = self.moved.borrow().get(&raw) {
             self.redirects.set(self.redirects.get() + 1);
@@ -1191,18 +909,13 @@ impl DmServer {
     }
 
     /// Every wire-visible key of refs owned by `pid`, sorted (push order
-    /// must be deterministic): the shard-tagged local keys plus any gkeys
-    /// bound to them.
+    /// must be deterministic): the local keys plus any gkeys bound to
+    /// them.
     fn wire_keys_owned_by(&self, pid: GlobalPid) -> Vec<u64> {
-        let mut out: Vec<u64> = Vec::new();
-        for (shard, s) in self.shards.iter().enumerate() {
-            for key in s.pm.borrow().keys_owned_by(pid) {
-                out.push(self.tag(shard, key));
-            }
-        }
-        let tagged: std::collections::HashSet<u64> = out.iter().copied().collect();
-        for (&gkey, &t) in self.gmap.borrow().iter() {
-            if tagged.contains(&t) {
+        let mut out = self.pm.borrow().keys_owned_by(pid);
+        let local: std::collections::HashSet<u64> = out.iter().copied().collect();
+        for (&gkey, &key) in self.gmap.borrow().iter() {
+            if local.contains(&key) {
                 out.push(gkey);
             }
         }
@@ -1219,10 +932,11 @@ impl DmServer {
         self.op_ns.set(self.op_ns.get() + t.as_nanos() as u64);
     }
 
-    /// Charge CPU for an operation on `shard` and record the translation
-    /// share. Page copies (COW / eager) occupy the serving core for the
-    /// duration of the copy, on top of the DRAM traffic they generate.
-    async fn charge(&self, shard: usize, cost: OpCost, translations: u64) {
+    /// Charge CPU for an operation and record the translation share.
+    /// Request dispatch is charged by the RPC layer on the same cores.
+    /// Page copies (COW / eager) occupy the serving core for the duration
+    /// of the copy, on top of the DRAM traffic they generate.
+    async fn charge(&self, cost: OpCost, translations: u64) {
         let c = &self.config;
         let translations = if c.hw_translation { 0 } else { translations };
         let copy_time = if cost.bytes_copied > 0 {
@@ -1231,13 +945,7 @@ impl DmServer {
         } else {
             Duration::ZERO
         };
-        let dispatch = if self.shards.len() > 1 {
-            c.dispatch_cpu
-        } else {
-            Duration::ZERO // charged by the RPC layer's core pool instead
-        };
-        let cpu_time = dispatch
-            + c.per_op_cpu
+        let cpu_time = c.per_op_cpu
             + c.per_page_cpu * (cost.refcount_updates + cost.pages_faulted) as u32
             + c.translation_cpu * translations as u32
             + copy_time;
@@ -1255,7 +963,7 @@ impl DmServer {
             s.attr("bytes_copied", cost.bytes_copied);
             s.attr("copy_ns", copy_time.as_nanos() as u64);
         }
-        self.shards[shard].cpu.execute(cpu_time).await;
+        self.cpu.execute(cpu_time).await;
         drop(cow);
         self.translation_ns.set(
             self.translation_ns.get() + (c.translation_cpu * translations as u32).as_nanos() as u64,
@@ -1350,26 +1058,16 @@ impl DmServer {
     async fn dispatch(&self, ty: u8, src: simnet::Addr, body: &Bytes) -> DmResult<Bytes> {
         match ty {
             req::REGISTER => {
-                // Register the process with every shard; page managers
-                // assign pids deterministically so the ids agree.
-                let pid = {
-                    let mut pid = None;
-                    for s in &self.shards {
-                        let p = s.pm.borrow_mut().register_process();
-                        match pid {
-                            None => pid = Some(p),
-                            Some(prev) => assert_eq!(prev, p, "shard pid divergence"),
-                        }
-                    }
-                    pid.expect("at least one shard")
-                };
+                let pid = self.pm.borrow_mut().register_process();
                 self.owners.borrow_mut().insert(pid.0, src);
-                self.persist(|| Record::Register {
-                    node: src.node.0,
-                    port: src.port,
+                self.persist(|| {
+                    vec![Record::Register {
+                        node: src.node.0,
+                        port: src.port,
+                    }]
                 })
                 .await;
-                self.charge(0, OpCost::default(), 0).await;
+                self.charge(OpCost::default(), 0).await;
                 // Only lease-granting servers append the TTL: the response
                 // (and thus the packet schedule) of a lease-free server is
                 // byte-identical to the pre-lease wire format.
@@ -1390,7 +1088,7 @@ impl DmServer {
                     // too late, the client must re-register.
                     None => return Err(DmError::InvalidAddress),
                 }
-                self.charge(0, OpCost::default(), 0).await;
+                self.charge(OpCost::default(), 0).await;
                 Ok(self.ok(&[]))
             }
             req::ALLOC => {
@@ -1398,89 +1096,82 @@ impl DmServer {
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
                 let len = r.u64()?;
-                let shard = self.pick_alloc_shard();
-                let va = self.shards[shard].pm.borrow_mut().ralloc(pid, len)?;
-                self.persist(|| Record::Alloc {
-                    shard: shard as u16,
-                    pid: pid.0,
-                    len,
-                    va,
+                let va = self.pm.borrow_mut().ralloc(pid, len)?;
+                self.persist(|| {
+                    vec![Record::Alloc {
+                        pid: pid.0,
+                        len,
+                        va,
+                    }]
                 })
                 .await;
-                self.charge(shard, OpCost::default(), 0).await;
-                Ok(self.ok(&Writer::new().u64(self.tag(shard, va)).finish()))
+                self.charge(OpCost::default(), 0).await;
+                Ok(self.ok(&Writer::new().u64(va).finish()))
             }
             req::FREE => {
                 let mut r = Reader::new(body);
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
-                let cost = self.shards[shard].pm.borrow_mut().rfree(pid, va)?;
-                self.persist(|| Record::Free {
-                    shard: shard as u16,
-                    pid: pid.0,
-                    va,
-                })
-                .await;
-                self.charge(shard, cost, cost.refcount_updates).await;
+                let va = r.u64()?;
+                let cost = self.pm.borrow_mut().rfree(pid, va)?;
+                self.persist(|| vec![Record::Free { pid: pid.0, va }]).await;
+                self.charge(cost, cost.refcount_updates).await;
                 Ok(self.ok(&[]))
             }
             req::CREATE_REF => {
                 let mut r = Reader::new(body);
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
+                let va = r.u64()?;
                 let len = r.u64()?;
-                let (key, cost) = self.shards[shard]
-                    .pm
-                    .borrow_mut()
-                    .create_ref(pid, va, len)?;
-                self.persist(|| Record::CreateRef {
-                    shard: shard as u16,
-                    pid: pid.0,
-                    va,
-                    len,
-                    key,
+                let (key, cost) = self.pm.borrow_mut().create_ref(pid, va, len)?;
+                self.persist(|| {
+                    vec![Record::CreateRef {
+                        pid: pid.0,
+                        va,
+                        len,
+                        key,
+                    }]
                 })
                 .await;
                 let pages = len.div_ceil(PAGE_SIZE as u64);
-                self.charge(shard, cost, pages).await;
-                let tagged = self.tag(shard, key);
-                Ok(self.ok_v(&[(tagged, 1)], &Writer::new().u64(tagged).finish()))
+                self.charge(cost, pages).await;
+                Ok(self.ok_v(&[(key, 1)], &Writer::new().u64(key).finish()))
             }
             req::MAP_REF => {
                 let mut r = Reader::new(body);
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
                 let raw = r.u64()?;
-                let (shard, key) = match self.route_key(raw)? {
-                    KeyRoute::Local(s, k) => (s, k),
+                let key = match self.route_key(raw)? {
+                    KeyRoute::Local(k) => k,
                     KeyRoute::Redirect(resp) => return Ok(resp),
                 };
-                let (va, len, cost) = self.shards[shard].pm.borrow_mut().map_ref(pid, key)?;
-                self.persist(|| Record::MapRef {
-                    shard: shard as u16,
-                    pid: pid.0,
-                    key,
-                    va,
+                let (va, len, cost) = self.pm.borrow_mut().map_ref(pid, key)?;
+                self.persist(|| {
+                    vec![Record::MapRef {
+                        pid: pid.0,
+                        key,
+                        va,
+                    }]
                 })
                 .await;
-                self.charge(shard, cost, cost.refcount_updates).await;
+                self.charge(cost, cost.refcount_updates).await;
                 self.grant(raw, src);
                 Ok(self.ok_v(
                     &[(raw, self.current_version(raw))],
-                    &Writer::new().u64(self.tag(shard, va)).u64(len).finish(),
+                    &Writer::new().u64(va).u64(len).finish(),
                 ))
             }
             req::READ => {
                 let mut r = Reader::new(body);
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
+                let va = r.u64()?;
                 let len = r.u64()?;
                 let translations = len.div_ceil(PAGE_SIZE as u64).max(1);
-                let data = self.shards[shard].pm.borrow_mut().read(pid, va, len)?;
-                self.charge(shard, OpCost::default(), translations).await;
+                let data = self.pm.borrow_mut().read(pid, va, len)?;
+                self.charge(OpCost::default(), translations).await;
                 // Reading pinned pages into the response path occupies DRAM.
                 self.mem.touch(len).await;
                 self.note_data_time(len);
@@ -1490,18 +1181,19 @@ impl DmServer {
                 let mut r = Reader::new(body);
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
+                let va = r.u64()?;
                 let data = r.rest();
                 let translations = (data.len() as u64).div_ceil(PAGE_SIZE as u64).max(1);
-                let cost = self.shards[shard].pm.borrow_mut().write(pid, va, data)?;
-                self.persist(|| Record::Write {
-                    shard: shard as u16,
-                    pid: pid.0,
-                    va,
-                    data: data.to_vec(),
+                let cost = self.pm.borrow_mut().write(pid, va, data)?;
+                self.persist(|| {
+                    vec![Record::Write {
+                        pid: pid.0,
+                        va,
+                        data: data.to_vec(),
+                    }]
                 })
                 .await;
-                self.charge(shard, cost, translations).await;
+                self.charge(cost, translations).await;
                 // Storing into pinned pages occupies DRAM.
                 self.mem.touch(data.len() as u64).await;
                 self.note_data_time(data.len() as u64);
@@ -1510,11 +1202,11 @@ impl DmServer {
             req::RELEASE_REF => {
                 let mut r = Reader::new(body);
                 let raw = r.u64()?;
-                let (shard, key) = match self.route_key(raw)? {
-                    KeyRoute::Local(s, k) => (s, k),
+                let key = match self.route_key(raw)? {
+                    KeyRoute::Local(k) => k,
                     KeyRoute::Redirect(resp) => return Ok(resp),
                 };
-                let cost = self.shards[shard].pm.borrow_mut().release_ref(key)?;
+                let cost = self.pm.borrow_mut().release_ref(key)?;
                 // The ref is gone: invalidate client caches. Coherent mode
                 // kills just this key (version bump + targeted pushes);
                 // otherwise the global epoch advances and the releaser's
@@ -1527,24 +1219,14 @@ impl DmServer {
                 };
                 if raw & GKEY_BIT != 0 {
                     self.gmap.borrow_mut().remove(&raw);
-                    self.persist2(|| {
-                        (
-                            Record::ReleaseRef {
-                                shard: shard as u16,
-                                key,
-                            },
-                            Record::GUnbind { gkey: raw },
-                        )
+                    self.persist(|| {
+                        vec![Record::ReleaseRef { key }, Record::GUnbind { gkey: raw }]
                     })
                     .await;
                 } else {
-                    self.persist(|| Record::ReleaseRef {
-                        shard: shard as u16,
-                        key,
-                    })
-                    .await;
+                    self.persist(|| vec![Record::ReleaseRef { key }]).await;
                 }
-                self.charge(shard, cost, cost.refcount_updates).await;
+                self.charge(cost, cost.refcount_updates).await;
                 Ok(self.ok_v(&touched, &[]))
             }
             req::WRITE_CREATE_REF => {
@@ -1552,49 +1234,45 @@ impl DmServer {
                 let mut r = Reader::new(body);
                 let pid = r.pid()?;
                 self.check_owner(pid, src)?;
-                let (shard, va) = self.route(r.u64()?)?;
+                let va = r.u64()?;
                 let data = r.rest();
                 let len = data.len() as u64;
                 let translations = len.div_ceil(PAGE_SIZE as u64).max(1);
                 let (key, wcost, ccost) = {
-                    let mut pm = self.shards[shard].pm.borrow_mut();
+                    let mut pm = self.pm.borrow_mut();
                     let wcost = pm.write(pid, va, data)?;
                     let (key, ccost) = pm.create_ref(pid, va, len)?;
                     (key, wcost, ccost)
                 };
-                self.persist2(|| {
-                    (
+                self.persist(|| {
+                    vec![
                         Record::Write {
-                            shard: shard as u16,
                             pid: pid.0,
                             va,
                             data: data.to_vec(),
                         },
                         Record::CreateRef {
-                            shard: shard as u16,
                             pid: pid.0,
                             va,
                             len,
                             key,
                         },
-                    )
+                    ]
                 })
                 .await;
                 let mut cost = wcost;
                 cost.add(ccost);
-                self.charge(shard, cost, translations).await;
+                self.charge(cost, translations).await;
                 self.mem.touch(len).await;
                 self.note_data_time(len);
-                let tagged = self.tag(shard, key);
                 // The writer caches the bytes it just published.
-                self.grant(tagged, src);
-                Ok(self.ok_v(&[(tagged, 1)], &Writer::new().u64(tagged).finish()))
+                self.grant(key, src);
+                Ok(self.ok_v(&[(key, 1)], &Writer::new().u64(key).finish()))
             }
             req::PUT_REF => {
                 let data = &body[..];
                 let len = data.len() as u64;
                 let translations = len.div_ceil(PAGE_SIZE as u64).max(1);
-                let shard = self.pick_alloc_shard();
                 // Attribute the ref to the caller's PID so lease expiry can
                 // reclaim it. An unregistered caller (e.g. a process whose
                 // lease already expired) is rejected — an anonymous ref
@@ -1606,36 +1284,33 @@ impl DmServer {
                     .find(|&(_, &a)| a == src)
                     .map(|(&pid, _)| GlobalPid(pid))
                     .ok_or(DmError::InvalidAddress)?;
-                let (key, cost) = self.shards[shard]
-                    .pm
-                    .borrow_mut()
-                    .put_ref(data, Some(owner))?;
-                self.persist(|| Record::PutRef {
-                    shard: shard as u16,
-                    pid: owner.0,
-                    key,
-                    data: data.to_vec(),
+                let (key, cost) = self.pm.borrow_mut().put_ref(data, Some(owner))?;
+                self.persist(|| {
+                    vec![Record::PutRef {
+                        pid: owner.0,
+                        key,
+                        data: data.to_vec(),
+                    }]
                 })
                 .await;
-                self.charge(shard, cost, translations).await;
+                self.charge(cost, translations).await;
                 self.mem.touch(len).await;
                 self.note_data_time(len);
-                let tagged = self.tag(shard, key);
-                self.grant(tagged, src);
-                Ok(self.ok_v(&[(tagged, 1)], &Writer::new().u64(tagged).finish()))
+                self.grant(key, src);
+                Ok(self.ok_v(&[(key, 1)], &Writer::new().u64(key).finish()))
             }
             req::READ_REF => {
                 let mut r = Reader::new(body);
                 let raw = r.u64()?;
-                let (shard, key) = match self.route_key(raw)? {
-                    KeyRoute::Local(s, k) => (s, k),
+                let key = match self.route_key(raw)? {
+                    KeyRoute::Local(k) => k,
                     KeyRoute::Redirect(resp) => return Ok(resp),
                 };
                 let off = r.u64()?;
                 let len = r.u64()?;
                 let translations = len.div_ceil(PAGE_SIZE as u64).max(1);
-                let data = self.shards[shard].pm.borrow_mut().read_ref(key, off, len)?;
-                self.charge(shard, OpCost::default(), translations).await;
+                let data = self.pm.borrow_mut().read_ref(key, off, len)?;
+                self.charge(OpCost::default(), translations).await;
                 self.mem.touch(len).await;
                 self.note_data_time(len);
                 // The reader may now cache these bytes: grant it a read
@@ -1668,26 +1343,20 @@ impl DmServer {
                     .find(|&(_, &a)| a == src)
                     .map(|(&pid, _)| GlobalPid(pid))
                     .ok_or(DmError::InvalidAddress)?;
-                let shard = self.pick_alloc_shard();
-                let (key, cost) = self.shards[shard]
-                    .pm
-                    .borrow_mut()
-                    .put_ref(data, Some(owner))?;
-                let tagged = self.tag(shard, key);
-                self.gmap.borrow_mut().insert(gkey, tagged);
-                self.persist2(|| {
-                    (
+                let (key, cost) = self.pm.borrow_mut().put_ref(data, Some(owner))?;
+                self.gmap.borrow_mut().insert(gkey, key);
+                self.persist(|| {
+                    vec![
                         Record::PutRef {
-                            shard: shard as u16,
                             pid: owner.0,
                             key,
                             data: data.to_vec(),
                         },
-                        Record::GBind { gkey, key: tagged },
-                    )
+                        Record::GBind { gkey, key },
+                    ]
                 })
                 .await;
-                self.charge(shard, cost, translations).await;
+                self.charge(cost, translations).await;
                 self.mem.touch(len).await;
                 self.note_data_time(len);
                 self.grant(gkey, src);
@@ -1709,15 +1378,15 @@ impl DmServer {
                 if dst == self.addr() {
                     return Err(DmError::InvalidAddress);
                 }
-                let (shard, key) = match self.route_key(gkey)? {
-                    KeyRoute::Local(s, k) => (s, k),
+                let key = match self.route_key(gkey)? {
+                    KeyRoute::Local(k) => k,
                     KeyRoute::Redirect(resp) => return Ok(resp),
                 };
                 let (len, owner) = {
-                    let pm = self.shards[shard].pm.borrow();
+                    let pm = self.pm.borrow();
                     (pm.ref_len(key)?, pm.ref_owner(key)?)
                 };
-                let data = self.shards[shard].pm.borrow_mut().read_ref(key, 0, len)?;
+                let data = self.pm.borrow_mut().read_ref(key, 0, len)?;
                 let translations = len.div_ceil(PAGE_SIZE as u64).max(1);
                 let owner_addr = owner.and_then(|p| self.owners.borrow().get(&p.0).copied());
                 // An owned ref whose owner is no longer registered is
@@ -1759,7 +1428,7 @@ impl DmServer {
                 // Destination acked: drop the local copy, leave the
                 // forwarding tombstone, and invalidate caches (the ref's
                 // home changed under every client that cached it).
-                let cost = self.shards[shard].pm.borrow_mut().release_ref(key)?;
+                let cost = self.pm.borrow_mut().release_ref(key)?;
                 self.gmap.borrow_mut().remove(&gkey);
                 self.moved.borrow_mut().insert(gkey, dst);
                 let touched = if self.coherent() {
@@ -1772,22 +1441,19 @@ impl DmServer {
                     self.epoch.set(self.epoch.get() + 1);
                     vec![]
                 };
-                self.persist2(|| {
-                    (
-                        Record::ReleaseRef {
-                            shard: shard as u16,
-                            key,
-                        },
+                self.persist(|| {
+                    vec![
+                        Record::ReleaseRef { key },
                         Record::GMoved {
                             gkey,
                             node: dst.node.0,
                             port: dst.port,
                         },
-                    )
+                    ]
                 })
                 .await;
                 self.migrations.set(self.migrations.get() + 1);
-                self.charge(shard, cost, translations).await;
+                self.charge(cost, translations).await;
                 Ok(self.ok_v(&touched, &[]))
             }
             req::MIGRATE_IN => {
@@ -1836,45 +1502,32 @@ impl DmServer {
                 };
                 let len = data.len() as u64;
                 let translations = len.div_ceil(PAGE_SIZE as u64).max(1);
-                let shard = self.pick_alloc_shard();
-                let (key, cost) = self.shards[shard].pm.borrow_mut().put_ref(data, owner)?;
-                let tagged = self.tag(shard, key);
-                self.gmap.borrow_mut().insert(gkey, tagged);
+                let (key, cost) = self.pm.borrow_mut().put_ref(data, owner)?;
+                self.gmap.borrow_mut().insert(gkey, key);
                 // A ref migrating back home clears its own stale tombstone.
                 self.moved.borrow_mut().remove(&gkey);
                 if ver != 1 {
                     // Only non-creation versions occupy the table (and the
                     // log): a once-migrated gkey keeps its history.
                     self.versions.borrow_mut().insert(gkey, ver);
-                    self.persist3(|| {
-                        (
-                            Record::PutRef {
-                                shard: shard as u16,
-                                pid: owner.map_or(NO_OWNER_PID, |p| p.0),
-                                key,
-                                data: data.to_vec(),
-                            },
-                            Record::GBind { gkey, key: tagged },
-                            Record::GVer { gkey, ver },
-                        )
-                    })
-                    .await;
-                } else {
-                    self.persist2(|| {
-                        (
-                            Record::PutRef {
-                                shard: shard as u16,
-                                pid: owner.map_or(NO_OWNER_PID, |p| p.0),
-                                key,
-                                data: data.to_vec(),
-                            },
-                            Record::GBind { gkey, key: tagged },
-                        )
-                    })
-                    .await;
                 }
+                self.persist(|| {
+                    let mut recs = vec![
+                        Record::PutRef {
+                            pid: owner.map_or(NO_OWNER_PID, |p| p.0),
+                            key,
+                            data: data.to_vec(),
+                        },
+                        Record::GBind { gkey, key },
+                    ];
+                    if ver != 1 {
+                        recs.push(Record::GVer { gkey, ver });
+                    }
+                    recs
+                })
+                .await;
                 self.migrations.set(self.migrations.get() + 1);
-                self.charge(shard, cost, translations).await;
+                self.charge(cost, translations).await;
                 self.mem.touch(len).await;
                 self.note_data_time(len);
                 Ok(self.ok(&[]))
@@ -1926,7 +1579,6 @@ pub fn start_pool(
     params: &memsim::ModelParams,
     config: DmServerConfig,
 ) -> Vec<Rc<DmServer>> {
-    let _ = SimRng::new(0); // reserved for future jitter modeling
     nodes
         .iter()
         .map(|&node| {

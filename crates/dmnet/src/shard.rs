@@ -18,8 +18,7 @@
 use dmcommon::DmServerId;
 
 /// Bit 63 of a ref key marks a *global* key minted by a sharded client.
-/// Local keys tag their intra-server shard in the top 16 bits, but shard
-/// counts never approach 2^15, so the bit is free (asserted at tag time).
+/// Server-assigned local keys count up from 1 and never reach it.
 pub const GKEY_BIT: u64 = 1 << 63;
 
 /// Sharded-placement tuning (a field of `ClusterConfig`).

@@ -39,6 +39,9 @@
 use std::cell::{Cell, RefCell};
 
 use memsim::{DurableMedia, DurableMediaParams};
+use simnet::{Addr, NodeId};
+
+use crate::page_manager::PageManager;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), bitwise — no
 /// table, no dependency; the log is not on any hot path.
@@ -77,75 +80,61 @@ pub enum Record {
         /// Port of the registering endpoint.
         port: u16,
     },
-    /// `ALLOC` on `shard` for `pid`; the VA tree returned `va`.
+    /// `ALLOC` for `pid`; the VA tree returned `va`.
     Alloc {
-        /// Owning shard.
-        shard: u16,
         /// Allocating process.
         pid: u32,
         /// Requested length in bytes.
         len: u64,
-        /// VA the original execution returned (untagged).
+        /// VA the original execution returned.
         va: u64,
     },
     /// `FREE` of the region at `va`.
     Free {
-        /// Owning shard.
-        shard: u16,
         /// Freeing process.
         pid: u32,
-        /// Region start (untagged).
+        /// Region start.
         va: u64,
     },
     /// `WRITE` of `data` at `va` (COW decisions replay deterministically).
     Write {
-        /// Owning shard.
-        shard: u16,
         /// Writing process.
         pid: u32,
-        /// Write offset (untagged).
+        /// Write offset.
         va: u64,
         /// The written bytes.
         data: Vec<u8>,
     },
     /// `CREATE_REF` over `[va, va+len)`; the key space returned `key`.
     CreateRef {
-        /// Owning shard.
-        shard: u16,
         /// Creating process.
         pid: u32,
-        /// Region start (untagged).
+        /// Region start.
         va: u64,
         /// Region length.
         len: u64,
-        /// Key the original execution returned (untagged).
+        /// Key the original execution returned.
         key: u64,
     },
     /// `MAP_REF` of `key` into `pid`; the VA tree returned `va`.
     MapRef {
-        /// Owning shard.
-        shard: u16,
         /// Mapping process.
         pid: u32,
-        /// Mapped ref key (untagged).
+        /// Mapped ref key.
         key: u64,
-        /// VA the original execution returned (untagged).
+        /// VA the original execution returned.
         va: u64,
     },
     /// `RELEASE_REF` of `key` (advances the invalidation epoch on replay).
     ReleaseRef {
-        /// Owning shard.
-        shard: u16,
-        /// Released ref key (untagged).
+        /// Released ref key.
         key: u64,
     },
     /// `PUT_REF` of `data` owned by `pid`; the key space returned `key`.
     PutRef {
-        /// Owning shard.
-        shard: u16,
         /// Owning process.
         pid: u32,
-        /// Key the original execution returned (untagged).
+        /// Key the original execution returned.
         key: u64,
         /// The published bytes.
         data: Vec<u8>,
@@ -163,12 +152,12 @@ pub enum Record {
         snapshot: Vec<u8>,
     },
     /// Sharded plane (DESIGN.md §13): global key `gkey` bound to the
-    /// tagged local ref `key` (a `PUT_REF_AT` or `MIGRATE_IN`; the paired
+    /// local ref `key` (a `PUT_REF_AT` or `MIGRATE_IN`; the paired
     /// `PutRef` record replays the underlying allocation).
     GBind {
         /// Client-minted global key (bit 63 set).
         gkey: u64,
-        /// Tagged local ref key the gkey resolves to.
+        /// Local ref key the gkey resolves to.
         key: u64,
     },
     /// Global key `gkey` released (`RELEASE_REF` naming a gkey; the
@@ -226,75 +215,42 @@ impl Record {
                 out.extend_from_slice(&node.to_le_bytes());
                 out.extend_from_slice(&port.to_le_bytes());
             }
-            Record::Alloc {
-                shard,
-                pid,
-                len,
-                va,
-            } => {
+            Record::Alloc { pid, len, va } => {
                 out.push(kind::ALLOC);
-                out.extend_from_slice(&shard.to_le_bytes());
                 out.extend_from_slice(&pid.to_le_bytes());
                 out.extend_from_slice(&len.to_le_bytes());
                 out.extend_from_slice(&va.to_le_bytes());
             }
-            Record::Free { shard, pid, va } => {
+            Record::Free { pid, va } => {
                 out.push(kind::FREE);
-                out.extend_from_slice(&shard.to_le_bytes());
                 out.extend_from_slice(&pid.to_le_bytes());
                 out.extend_from_slice(&va.to_le_bytes());
             }
-            Record::Write {
-                shard,
-                pid,
-                va,
-                data,
-            } => {
+            Record::Write { pid, va, data } => {
                 out.push(kind::WRITE);
-                out.extend_from_slice(&shard.to_le_bytes());
                 out.extend_from_slice(&pid.to_le_bytes());
                 out.extend_from_slice(&va.to_le_bytes());
                 out.extend_from_slice(data);
             }
-            Record::CreateRef {
-                shard,
-                pid,
-                va,
-                len,
-                key,
-            } => {
+            Record::CreateRef { pid, va, len, key } => {
                 out.push(kind::CREATE_REF);
-                out.extend_from_slice(&shard.to_le_bytes());
                 out.extend_from_slice(&pid.to_le_bytes());
                 out.extend_from_slice(&va.to_le_bytes());
                 out.extend_from_slice(&len.to_le_bytes());
                 out.extend_from_slice(&key.to_le_bytes());
             }
-            Record::MapRef {
-                shard,
-                pid,
-                key,
-                va,
-            } => {
+            Record::MapRef { pid, key, va } => {
                 out.push(kind::MAP_REF);
-                out.extend_from_slice(&shard.to_le_bytes());
                 out.extend_from_slice(&pid.to_le_bytes());
                 out.extend_from_slice(&key.to_le_bytes());
                 out.extend_from_slice(&va.to_le_bytes());
             }
-            Record::ReleaseRef { shard, key } => {
+            Record::ReleaseRef { key } => {
                 out.push(kind::RELEASE_REF);
-                out.extend_from_slice(&shard.to_le_bytes());
                 out.extend_from_slice(&key.to_le_bytes());
             }
-            Record::PutRef {
-                shard,
-                pid,
-                key,
-                data,
-            } => {
+            Record::PutRef { pid, key, data } => {
                 out.push(kind::PUT_REF);
-                out.extend_from_slice(&shard.to_le_bytes());
                 out.extend_from_slice(&pid.to_le_bytes());
                 out.extend_from_slice(&key.to_le_bytes());
                 out.extend_from_slice(data);
@@ -340,41 +296,32 @@ impl Record {
                 port: c.u16()?,
             },
             kind::ALLOC => Record::Alloc {
-                shard: c.u16()?,
                 pid: c.u32()?,
                 len: c.u64()?,
                 va: c.u64()?,
             },
             kind::FREE => Record::Free {
-                shard: c.u16()?,
                 pid: c.u32()?,
                 va: c.u64()?,
             },
             kind::WRITE => Record::Write {
-                shard: c.u16()?,
                 pid: c.u32()?,
                 va: c.u64()?,
                 data: c.rest().to_vec(),
             },
             kind::CREATE_REF => Record::CreateRef {
-                shard: c.u16()?,
                 pid: c.u32()?,
                 va: c.u64()?,
                 len: c.u64()?,
                 key: c.u64()?,
             },
             kind::MAP_REF => Record::MapRef {
-                shard: c.u16()?,
                 pid: c.u32()?,
                 key: c.u64()?,
                 va: c.u64()?,
             },
-            kind::RELEASE_REF => Record::ReleaseRef {
-                shard: c.u16()?,
-                key: c.u64()?,
-            },
+            kind::RELEASE_REF => Record::ReleaseRef { key: c.u64()? },
             kind::PUT_REF => Record::PutRef {
-                shard: c.u16()?,
                 pid: c.u32()?,
                 key: c.u64()?,
                 data: c.rest().to_vec(),
@@ -412,28 +359,42 @@ impl Record {
     }
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Little-endian reader over a record payload or checkpoint snapshot;
+/// every read is `None` once the input runs out.
+pub(crate) struct Cursor<'a> {
+    pub(crate) buf: &'a [u8],
+    pub(crate) pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
+    pub(crate) fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if n > self.remaining() {
             return None;
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Some(s)
     }
-    fn u16(&mut self) -> Option<u16> {
+    pub(crate) fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+    pub(crate) fn u8(&mut self) -> Option<u8> {
+        Some(self.take(1)?[0])
+    }
+    pub(crate) fn u16(&mut self) -> Option<u16> {
         Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
     }
-    fn u32(&mut self) -> Option<u32> {
+    pub(crate) fn u32(&mut self) -> Option<u32> {
         Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
-    fn u64(&mut self) -> Option<u64> {
+    pub(crate) fn u64(&mut self) -> Option<u64> {
         Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
+    }
+    fn addr(&mut self) -> Option<Addr> {
+        Some(Addr {
+            node: NodeId(self.u32()?),
+            port: self.u16()?,
+        })
     }
     fn rest(&mut self) -> &'a [u8] {
         let s = &self.buf[self.pos..];
@@ -443,6 +404,97 @@ impl<'a> Cursor<'a> {
     fn at_end(&self) -> bool {
         self.pos == self.buf.len()
     }
+}
+
+/// The server tables a [`Record::Checkpoint`] carries besides the page
+/// manager, each sorted by key so that equal states encode to equal
+/// bytes. Leases and the holder directory are volatile by design and
+/// are not part of it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct SnapshotTables {
+    /// Invalidation epoch.
+    pub(crate) epoch: u64,
+    /// Registered pid → owning endpoint.
+    pub(crate) owners: Vec<(u32, Addr)>,
+    /// Gkey → local ref key, for every gkey homed here.
+    pub(crate) binds: Vec<(u64, u64)>,
+    /// Redirect tombstones: gkey → forwarding address.
+    pub(crate) tombs: Vec<(u64, Addr)>,
+    /// Per-ref versions other than the implicit creation version 1.
+    pub(crate) versions: Vec<(u64, u64)>,
+}
+
+/// Encode a checkpoint snapshot. The one layout (little-endian):
+///
+/// ```text
+/// [epoch u64]
+/// [n u32] n × [pid u32][node u32][port u16]     owners
+/// [n u32] n × [gkey u64][key u64]               gkey bindings
+/// [n u32] n × [gkey u64][node u32][port u16]    tombstones
+/// [n u32] n × [gkey u64][version u64]           versions
+/// [page-manager snapshot]
+/// ```
+///
+/// Every table is written even when it is empty.
+pub(crate) fn encode_snapshot(t: &SnapshotTables, pm: &PageManager) -> Vec<u8> {
+    fn put_addr(out: &mut Vec<u8>, a: Addr) {
+        out.extend_from_slice(&a.node.0.to_le_bytes());
+        out.extend_from_slice(&a.port.to_le_bytes());
+    }
+    fn put_table<T: Copy>(out: &mut Vec<u8>, items: &[T], put: impl Fn(&mut Vec<u8>, T)) {
+        out.extend_from_slice(&(items.len() as u32).to_le_bytes());
+        for &it in items {
+            put(out, it);
+        }
+    }
+    let mut out = t.epoch.to_le_bytes().to_vec();
+    put_table(&mut out, &t.owners, |out, (pid, a)| {
+        out.extend_from_slice(&pid.to_le_bytes());
+        put_addr(out, a);
+    });
+    put_table(&mut out, &t.binds, |out, (gkey, key)| {
+        out.extend_from_slice(&gkey.to_le_bytes());
+        out.extend_from_slice(&key.to_le_bytes());
+    });
+    put_table(&mut out, &t.tombs, |out, (gkey, a)| {
+        out.extend_from_slice(&gkey.to_le_bytes());
+        put_addr(out, a);
+    });
+    put_table(&mut out, &t.versions, |out, (gkey, ver)| {
+        out.extend_from_slice(&gkey.to_le_bytes());
+        out.extend_from_slice(&ver.to_le_bytes());
+    });
+    pm.snapshot_into(&mut out);
+    out
+}
+
+/// Inverse of [`encode_snapshot`]. `None` on any malformed input —
+/// truncation, a count that overruns the buffer, an invalid page-manager
+/// snapshot, or trailing bytes — never a panic.
+pub(crate) fn decode_snapshot(buf: &[u8]) -> Option<(SnapshotTables, PageManager)> {
+    fn table<'a, T>(
+        c: &mut Cursor<'a>,
+        item: impl Fn(&mut Cursor<'a>) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let n = c.u32()?;
+        // No preallocation from `n`: a corrupt count fails at the first
+        // missing item instead of reserving memory it names.
+        let mut out = Vec::new();
+        for _ in 0..n {
+            out.push(item(c)?);
+        }
+        Some(out)
+    }
+    let mut c = Cursor { buf, pos: 0 };
+    let tables = SnapshotTables {
+        epoch: c.u64()?,
+        owners: table(&mut c, |c| Some((c.u32()?, c.addr()?)))?,
+        binds: table(&mut c, |c| Some((c.u64()?, c.u64()?)))?,
+        tombs: table(&mut c, |c| Some((c.u64()?, c.addr()?)))?,
+        versions: table(&mut c, |c| Some((c.u64()?, c.u64()?)))?,
+    };
+    let pm = PageManager::restore_from(buf, &mut c.pos)?;
+    c.at_end().then_some((tables, pm))
 }
 
 /// Durability backend configuration (a field of
@@ -671,6 +723,8 @@ impl Wal {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn sample_records() -> Vec<Record> {
@@ -680,49 +734,40 @@ mod tests {
                 port: 7000,
             },
             Record::Alloc {
-                shard: 1,
                 pid: 7,
                 len: 8192,
                 va: 0x1000,
             },
             Record::Write {
-                shard: 1,
                 pid: 7,
                 va: 0x1000,
                 data: vec![0xAB; 5],
             },
             Record::CreateRef {
-                shard: 1,
                 pid: 7,
                 va: 0x1000,
                 len: 8192,
                 key: 1,
             },
             Record::MapRef {
-                shard: 1,
                 pid: 8,
                 key: 1,
                 va: 0x3000,
             },
-            Record::ReleaseRef { shard: 1, key: 1 },
+            Record::ReleaseRef { key: 1 },
             Record::PutRef {
-                shard: 0,
                 pid: 7,
                 key: 2,
                 data: vec![1, 2, 3],
             },
-            Record::Free {
-                shard: 1,
-                pid: 7,
-                va: 0x1000,
-            },
+            Record::Free { pid: 7, va: 0x1000 },
             Record::ReleaseProcess { pid: 7 },
             Record::Checkpoint {
                 snapshot: vec![9, 9, 9],
             },
             Record::GBind {
                 gkey: (1 << 63) | 77,
-                key: (2 << 48) | 5,
+                key: 5,
             },
             Record::GUnbind {
                 gkey: (1 << 63) | 77,
@@ -767,18 +812,16 @@ mod tests {
         // test breaks, recovery of logs written by older builds breaks.
         let w = Wal::new("golden", WalConfig::zero_cost());
         w.push(&Record::Alloc {
-            shard: 2,
             pid: 5,
             len: 4096,
             va: 0x1000,
         });
         let raw = w.raw();
         let expect: Vec<u8> = [
-            &23u32.to_le_bytes()[..],          // payload length
+            &21u32.to_le_bytes()[..],          // payload length
             &0u64.to_le_bytes()[..],           // seq 0
-            &0xA2F9_6547u32.to_le_bytes()[..], // crc32(seq || payload)
+            &0xE7A6_17C5u32.to_le_bytes()[..], // crc32(seq || payload)
             &[super::kind::ALLOC][..],         // kind
-            &2u16.to_le_bytes()[..],           // shard
             &5u32.to_le_bytes()[..],           // pid
             &4096u64.to_le_bytes()[..],        // len
             &0x1000u64.to_le_bytes()[..],      // va
@@ -907,5 +950,95 @@ mod tests {
     fn fnv_distinguishes_inputs() {
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+    }
+
+    /// A small, fully populated checkpoint: every table non-empty, and a
+    /// page manager holding mapped, shared, COW-diverged and ref-owned
+    /// pages.
+    fn sample_snapshot() -> (SnapshotTables, Vec<u8>) {
+        const PS: u64 = dmcommon::PAGE_SIZE as u64;
+        let mut pm = PageManager::new(16, dmcommon::CopyMode::CopyOnWrite);
+        let a = pm.register_process();
+        let b = pm.register_process();
+        let va = pm.ralloc(a, 2 * PS).unwrap();
+        pm.write(a, va, &[0x5A; 5000]).unwrap();
+        let (key, _) = pm.create_ref(a, va, 2 * PS).unwrap();
+        let (mva, _, _) = pm.map_ref(b, key).unwrap();
+        pm.write(b, mva, b"cow").unwrap();
+        let (put, _) = pm.put_ref(&[7; 100], Some(b)).unwrap();
+        let addr = |node, port| Addr {
+            node: NodeId(node),
+            port,
+        };
+        let g = crate::GKEY_BIT;
+        let tables = SnapshotTables {
+            epoch: 9,
+            owners: vec![(a.0, addr(3, 100)), (b.0, addr(4, 100))],
+            binds: vec![(g | 1, put)],
+            tombs: vec![(g | 2, addr(7, 9000))],
+            versions: vec![(g | 1, 3)],
+        };
+        let bytes = encode_snapshot(&tables, &pm);
+        (tables, bytes)
+    }
+
+    #[test]
+    fn snapshot_roundtrips_with_every_table_written() {
+        let (tables, bytes) = sample_snapshot();
+        let (back, pm) = decode_snapshot(&bytes).expect("a clean snapshot decodes");
+        assert_eq!(back, tables);
+        assert_eq!(encode_snapshot(&back, &pm), bytes);
+        // Empty tables are still written: the epoch and four zero counts
+        // precede the page-manager snapshot.
+        let pm = PageManager::new(4, dmcommon::CopyMode::CopyOnWrite);
+        let empty = encode_snapshot(&SnapshotTables::default(), &pm);
+        assert_eq!(empty.len(), 8 + 4 * 4 + pm.snapshot().len());
+        assert_eq!(
+            decode_snapshot(&empty).map(|(t, _)| t),
+            Some(SnapshotTables::default())
+        );
+        // Trailing bytes are corruption too.
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(decode_snapshot(&long).is_none());
+        // A count that overruns the buffer fails without reserving what
+        // it names: max out each table count in turn.
+        let owners_at = 8;
+        let binds_at = owners_at + 4 + 2 * 10;
+        let tombs_at = binds_at + 4 + 16;
+        let versions_at = tombs_at + 4 + 14;
+        for at in [owners_at, binds_at, tombs_at, versions_at] {
+            let mut bad = bytes.clone();
+            bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(decode_snapshot(&bad).is_none(), "count at {at}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The checkpoint decoder is total: a truncated snapshot is
+        /// always an error, and a bit-flipped one is an error or a
+        /// decoded state — never a panic or an allocation sized by a
+        /// corrupt field.
+        #[test]
+        fn snapshot_decoder_rejects_truncation_and_survives_bit_flips(
+            cut in 0.0f64..1.0,
+            flips in (0usize..160 * 8, 0usize..200 * 8, 0.0f64..1.0),
+        ) {
+            let (_, bytes) = sample_snapshot();
+            let n = bytes.len();
+            let cut = (cut * n as f64) as usize;
+            prop_assert!(decode_snapshot(&bytes[..cut]).is_none(), "truncated at {cut}");
+            // Most bytes are page contents, so aim one flip at the tables
+            // and page-manager header, one at the trailing VA trees,
+            // translations and refs, and one anywhere.
+            let (head, tail, any) = flips;
+            for bit in [head, (n - 200) * 8 + tail, (any * (n * 8) as f64) as usize] {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let _ = decode_snapshot(&flipped);
+            }
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! server, and never corrupt the page pool.
 
 use bytes::Bytes;
-use dmcommon::DmError;
-use dmnet::proto::{parse_response, req};
+use dmcommon::{DmError, Ref};
+use dmnet::proto::{parse_response, req, Writer};
 use dmnet::{start_pool, DmNetClient, DmServerConfig};
 use memsim::ModelParams;
 use proptest::prelude::*;
@@ -64,7 +64,7 @@ fn malformed_bodies_get_error_responses() {
         assert!(parse_response(&resp).is_err(), "unknown pid rejected");
 
         // The server still works afterwards.
-        let dm = DmNetClient::connect(rpc, vec![pool[0].addr()])
+        let dm = DmNetClient::connect(rpc.clone(), vec![pool[0].addr()])
             .await
             .unwrap();
         let a = dm.ralloc(4096).await.unwrap();
@@ -72,6 +72,59 @@ fn malformed_bodies_get_error_responses() {
             .await
             .unwrap();
         assert_eq!(&dm.rread(a, 11).await.unwrap()[..], b"still alive");
+
+        // A live VA or ref key with any high bit set (48..=63, but never
+        // the gkey bit on a ref key) names nothing: every op that takes
+        // one fails typed, from the owning endpoint itself, and never
+        // reaches the live region or ref it would alias in the low bits.
+        let r = dm.create_ref(a, 4096).await.unwrap();
+        let Ref::Net { key, .. } = r else {
+            unreachable!("a net client mints net refs")
+        };
+        let typed = |resp: Bytes, what: &str| {
+            let err = parse_response(&resp).expect_err(what);
+            assert!(
+                matches!(
+                    err,
+                    DmError::Malformed | DmError::InvalidAddress | DmError::InvalidRef
+                ),
+                "{what}: unexpected error {err:?}"
+            );
+        };
+        for bit in [48, 52, 62, 63] {
+            let va = a.va | (1u64 << bit);
+            let ops = [
+                (req::READ, Writer::new().pid(a.pid).u64(va).u64(4)),
+                (req::WRITE, Writer::new().pid(a.pid).u64(va).bytes(b"evil")),
+                (req::FREE, Writer::new().pid(a.pid).u64(va)),
+                (req::CREATE_REF, Writer::new().pid(a.pid).u64(va).u64(4096)),
+                (
+                    req::WRITE_CREATE_REF,
+                    Writer::new().pid(a.pid).u64(va).bytes(b"evil"),
+                ),
+            ];
+            for (ty, body) in ops {
+                let resp = rpc.call(pool[0].addr(), ty, body.finish()).await.unwrap();
+                typed(resp, &format!("op {ty} at VA bit {bit}"));
+            }
+            if bit == 63 {
+                continue; // bit 63 marks a gkey, not a local ref key
+            }
+            let k = key | (1u64 << bit);
+            let ops = [
+                (req::MAP_REF, Writer::new().pid(a.pid).u64(k)),
+                (req::READ_REF, Writer::new().u64(k).u64(0).u64(4)),
+                (req::RELEASE_REF, Writer::new().u64(k)),
+            ];
+            for (ty, body) in ops {
+                let resp = rpc.call(pool[0].addr(), ty, body.finish()).await.unwrap();
+                typed(resp, &format!("op {ty} at key bit {bit}"));
+            }
+        }
+        // The aliased region and ref are untouched.
+        assert_eq!(&dm.rread(a, 11).await.unwrap()[..], b"still alive");
+        assert_eq!(&dm.read_ref(&r, 0, 11).await.unwrap()[..], b"still alive");
+        dm.release_ref(&r).await.unwrap();
         pool[0].with_page_manager(|pm| pm.check_invariants());
     });
 }
